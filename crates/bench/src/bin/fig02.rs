@@ -10,9 +10,8 @@
 //! per workload, with the irregular / hot-set-heavy programs suffering
 //! the most from the competition for M1.
 
-use profess_bench::harness::TraceCollector;
 use profess_bench::{
-    init_trace_flag, run_workload, target_from_args, workload_metrics, workload_or_usage, SoloCache,
+    init_trace_flag, target_from_args, workload_or_usage, CellPlan, Figure, SlowdownCells,
 };
 use profess_core::system::PolicyKind;
 use profess_metrics::table::TextTable;
@@ -22,17 +21,24 @@ fn main() {
     init_trace_flag();
     let target = target_from_args(profess_bench::MULTI_TARGET_MISSES);
     let cfg = SystemConfig::scaled_quad();
-    let mut cache = SoloCache::new();
-    let mut traces = TraceCollector::from_env("fig02");
+    let mut plan = CellPlan::new();
+    let cells: Vec<SlowdownCells> = ["w09", "w16", "w19"]
+        .into_iter()
+        .map(|id| {
+            let w = workload_or_usage(id);
+            SlowdownCells::declare(&mut plan, &cfg, PolicyKind::Pom, &w, target)
+        })
+        .collect();
+    let mut fig = Figure::start("fig02");
     println!("Figure 2: slowdowns under PoM management\n");
+    let run = fig.execute(&plan);
     let mut t = TextTable::new(vec!["workload", "program", "slowdown"]);
-    for id in ["w09", "w16", "w19"] {
-        let w = workload_or_usage(id);
-        let solo = cache.solo_ipcs(&cfg, PolicyKind::Pom, &w, target);
-        let multi = run_workload(&cfg, PolicyKind::Pom, &w, target);
-        traces.record(&format!("{id}:PoM"), &multi);
-        let m = workload_metrics(id, &multi, &solo);
-        for (prog, sdn) in w.programs.iter().zip(&m.slowdowns) {
+    for c in &cells {
+        let Some(m) = c.metrics(&run) else {
+            continue;
+        };
+        let id = c.workload.id;
+        for (prog, sdn) in c.workload.programs.iter().zip(&m.slowdowns) {
             t.row(vec![
                 id.to_string(),
                 prog.name().to_string(),
@@ -49,5 +55,5 @@ fn main() {
     println!("{t}");
     println!("Paper: w09 soplex 3.7 vs lbm/GemsFDTD ~2.2 (spread ~1.7x);");
     println!("uneven slowdowns in every workload motivate RSM.");
-    traces.finish();
+    fig.finish(run.report_health());
 }

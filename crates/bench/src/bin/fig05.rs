@@ -12,9 +12,8 @@
 //! reduced-M1 system MDM wins (+30% in the paper) — both checks appear at
 //! the end of the output.
 
-use profess_bench::harness::{BenchJson, TraceCollector};
 use profess_bench::{
-    init_trace_flag, run_solo, summarize, target_from_args, Pool, SOLO_TARGET_MISSES,
+    init_trace_flag, summarize, target_from_args, Cell, CellPlan, Figure, SOLO_TARGET_MISSES,
 };
 use profess_core::system::PolicyKind;
 use profess_metrics::table::TextTable;
@@ -26,48 +25,20 @@ fn main() {
     init_trace_flag();
     let target = target_from_args(SOLO_TARGET_MISSES);
     let cfg = SystemConfig::scaled_single();
-    let pool = Pool::from_env();
-    let mut bench = BenchJson::start("fig05");
-    let mut traces = TraceCollector::from_env("fig05");
-    println!("Figure 5: single-program IPC of MDM normalized to PoM\n");
     let progs: Vec<SpecProgram> = SpecProgram::ALL
         .into_iter()
         .filter(|&p| p != SpecProgram::Libquantum) // shown separately below
         .collect();
-    let reports = pool.map(&progs, |&prog| {
-        (
-            run_solo(&cfg, PolicyKind::Pom, prog, target),
-            run_solo(&cfg, PolicyKind::Mdm, prog, target),
-        )
-    });
-    bench.add_sim_ops(2 * reports.len() as u64);
-    for (prog, (pom, mdm)) in progs.iter().zip(&reports) {
-        traces.record(&format!("{}:PoM", prog.name()), pom);
-        traces.record(&format!("{}:MDM", prog.name()), mdm);
-    }
-    let mut t = TextTable::new(vec!["program", "PoM IPC", "MDM IPC", "MDM/PoM"]);
-    let mut ratios = Vec::new();
-    for (prog, (pom, mdm)) in progs.iter().zip(&reports) {
-        let r = mdm.programs[0].ipc / pom.programs[0].ipc;
-        ratios.push(r);
-        t.row(vec![
-            prog.name().to_string(),
-            format!("{:.3}", pom.programs[0].ipc),
-            format!("{:.3}", mdm.programs[0].ipc),
-            format!("{r:.3}"),
-        ]);
-    }
-    println!("{t}");
-    let s = summarize(&ratios);
-    println!("Box plot: {}", BoxPlot::from_values(&ratios));
-    println!(
-        "geomean {:+.1}%  best {:+.1}%  worst {:+.1}%",
-        (s.geomean - 1.0) * 100.0,
-        (s.best - 1.0) * 100.0,
-        (s.worst - 1.0) * 100.0
-    );
-    println!("Paper: avg +14%, up to +38% (lbm), omnetpp ~-1.5%.\n");
-
+    let mut plan = CellPlan::new();
+    let pairs: Vec<_> = progs
+        .iter()
+        .map(|&prog| {
+            (
+                plan.solo(&cfg, PolicyKind::Pom, prog, target),
+                plan.solo(&cfg, PolicyKind::Mdm, prog, target),
+            )
+        })
+        .collect();
     // libquantum at default scale (fits M1) and with a reduced M1.
     // The paper's reduced system: 4 MB M1 / 32 MB M2 at its scale; ours is
     // that divided by the same 32 => 128 KB M1. The smallest geometry that
@@ -78,25 +49,60 @@ fn main() {
     let mut cfg_small = cfg.clone();
     cfg_small.org = small;
     cfg_small.stc.entries = 32;
-    let lq_jobs = [
-        (&cfg, PolicyKind::Pom),
-        (&cfg, PolicyKind::Mdm),
-        (&cfg_small, PolicyKind::Pom),
-        (&cfg_small, PolicyKind::Mdm),
-    ];
-    let lq_reports = pool.map(&lq_jobs, |&(c, pk)| run_solo(c, pk, lq, target));
-    bench.add_sim_ops(lq_reports.len() as u64);
-    for ((_, pk), r) in lq_jobs.iter().zip(&lq_reports) {
-        traces.record(&format!("libquantum:{}", pk.name()), r);
+    let lq_cells: Vec<_> = [
+        (&cfg, PolicyKind::Pom, ""),
+        (&cfg, PolicyKind::Mdm, ""),
+        (&cfg_small, PolicyKind::Pom, ":smallM1"),
+        (&cfg_small, PolicyKind::Mdm, ":smallM1"),
+    ]
+    .into_iter()
+    .map(|(c, pk, tag)| {
+        plan.add(Cell::solo(c, pk, lq, target).labelled(format!("libquantum:{}{tag}", pk.name())))
+    })
+    .collect();
+
+    let mut fig = Figure::start("fig05");
+    println!("Figure 5: single-program IPC of MDM normalized to PoM\n");
+    let run = fig.execute(&plan);
+    let ipc = |id| run.solo_ipc(id);
+    let mut t = TextTable::new(vec!["program", "PoM IPC", "MDM IPC", "MDM/PoM"]);
+    let mut ratios = Vec::new();
+    for (prog, &(pom, mdm)) in progs.iter().zip(&pairs) {
+        let (Some(pom), Some(mdm)) = (ipc(pom), ipc(mdm)) else {
+            continue;
+        };
+        let r = mdm / pom;
+        ratios.push(r);
+        t.row(vec![
+            prog.name().to_string(),
+            format!("{pom:.3}"),
+            format!("{mdm:.3}"),
+            format!("{r:.3}"),
+        ]);
     }
-    println!(
-        "libquantum, default scale (footprint fits M1): MDM/PoM = {:.3} (paper: ~1.00)",
-        lq_reports[1].programs[0].ipc / lq_reports[0].programs[0].ipc
-    );
-    println!(
-        "libquantum, reduced M1 (512 KB < footprint): MDM/PoM = {:.3} (paper: +30% in its reduced system)",
-        lq_reports[3].programs[0].ipc / lq_reports[2].programs[0].ipc
-    );
-    traces.finish();
-    bench.finish();
+    println!("{t}");
+    let ok = run.report_health();
+    if ok {
+        let s = summarize(&ratios);
+        println!("Box plot: {}", BoxPlot::from_values(&ratios));
+        println!(
+            "geomean {:+.1}%  best {:+.1}%  worst {:+.1}%",
+            (s.geomean - 1.0) * 100.0,
+            (s.best - 1.0) * 100.0,
+            (s.worst - 1.0) * 100.0
+        );
+        println!("Paper: avg +14%, up to +38% (lbm), omnetpp ~-1.5%.\n");
+        let lq_ratio = |pom: usize, mdm: usize| {
+            ipc(lq_cells[mdm]).unwrap_or(f64::NAN) / ipc(lq_cells[pom]).unwrap_or(f64::NAN)
+        };
+        println!(
+            "libquantum, default scale (footprint fits M1): MDM/PoM = {:.3} (paper: ~1.00)",
+            lq_ratio(0, 1)
+        );
+        println!(
+            "libquantum, reduced M1 (512 KB < footprint): MDM/PoM = {:.3} (paper: +30% in its reduced system)",
+            lq_ratio(2, 3)
+        );
+    }
+    fig.finish(ok);
 }

@@ -8,8 +8,7 @@
 //! slightly more (~+2.5%) while performing marginally worse (noisy MDM
 //! statistics at its low STC hit rate).
 
-use profess_bench::harness::TraceCollector;
-use profess_bench::{init_trace_flag, run_solo, target_from_args, SOLO_TARGET_MISSES};
+use profess_bench::{init_trace_flag, target_from_args, CellPlan, Figure, SOLO_TARGET_MISSES};
 use profess_core::system::PolicyKind;
 use profess_metrics::table::TextTable;
 use profess_trace::SpecProgram;
@@ -18,9 +17,22 @@ use profess_types::SystemConfig;
 fn main() {
     init_trace_flag();
     let target = target_from_args(SOLO_TARGET_MISSES);
-    let mut traces = TraceCollector::from_env("fig06");
     let cfg = SystemConfig::scaled_single();
+    let mut plan = CellPlan::new();
+    let cells: Vec<_> = SpecProgram::ALL
+        .into_iter()
+        .filter(|&p| p != SpecProgram::Libquantum)
+        .map(|prog| {
+            (
+                prog,
+                plan.solo(&cfg, PolicyKind::Pom, prog, target),
+                plan.solo(&cfg, PolicyKind::Mdm, prog, target),
+            )
+        })
+        .collect();
+    let mut fig = Figure::start("fig06");
     println!("Figure 6: M1 access fraction of MDM normalized to PoM\n");
+    let run = fig.execute(&plan);
     let mut t = TextTable::new(vec![
         "program",
         "PoM m1frac",
@@ -29,14 +41,10 @@ fn main() {
         "PoM swaps",
         "MDM swaps",
     ]);
-    for prog in SpecProgram::ALL {
-        if prog == SpecProgram::Libquantum {
+    for (prog, pom, mdm) in cells {
+        let (Some(pom), Some(mdm)) = (run.report(pom), run.report(mdm)) else {
             continue;
-        }
-        let pom = run_solo(&cfg, PolicyKind::Pom, prog, target);
-        let mdm = run_solo(&cfg, PolicyKind::Mdm, prog, target);
-        traces.record(&format!("{}:PoM", prog.name()), &pom);
-        traces.record(&format!("{}:MDM", prog.name()), &mdm);
+        };
         let (fp, fm) = (pom.programs[0].m1_fraction(), mdm.programs[0].m1_fraction());
         t.row(vec![
             prog.name().to_string(),
@@ -50,5 +58,5 @@ fn main() {
     println!("{t}");
     println!("Paper: M1 fraction tracks performance except mcf (MDM serves");
     println!("fewer accesses from M1 but swaps less and wins) and omnetpp.");
-    traces.finish();
+    fig.finish(run.report_health());
 }

@@ -6,8 +6,7 @@
 //! programs well above the irregular pointer-chasers, with omnetpp and
 //! mcf lowest.
 
-use profess_bench::harness::TraceCollector;
-use profess_bench::{init_trace_flag, run_solo, target_from_args, SOLO_TARGET_MISSES};
+use profess_bench::{init_trace_flag, target_from_args, CellPlan, Figure, SOLO_TARGET_MISSES};
 use profess_core::system::PolicyKind;
 use profess_metrics::table::TextTable;
 use profess_trace::SpecProgram;
@@ -16,17 +15,29 @@ use profess_types::SystemConfig;
 fn main() {
     init_trace_flag();
     let target = target_from_args(SOLO_TARGET_MISSES);
-    let mut traces = TraceCollector::from_env("fig07");
     let cfg = SystemConfig::scaled_single();
+    let mut plan = CellPlan::new();
+    let cells: Vec<_> = SpecProgram::ALL
+        .into_iter()
+        .map(|prog| (prog, plan.solo(&cfg, PolicyKind::Mdm, prog, target)))
+        .collect();
+    let mut fig = Figure::start("fig07");
     println!("Figure 7: single-program STC hit rates under MDM\n");
-    let mut t = TextTable::new(vec!["program", "STC hit rate (%)"]);
-    let mut rows: Vec<(String, f64)> = Vec::new();
-    for prog in SpecProgram::ALL {
-        let mdm = run_solo(&cfg, PolicyKind::Mdm, prog, target);
-        traces.record(&format!("{}:MDM", prog.name()), &mdm);
-        rows.push((prog.name().to_string(), mdm.stc_hit_rate));
+    let run = fig.execute(&plan);
+    let ok = run.report_health();
+    if ok {
+        let rows: Vec<(String, f64)> = cells
+            .iter()
+            .filter_map(|&(prog, c)| Some((prog.name().to_string(), run.report(c)?.stc_hit_rate)))
+            .collect();
+        print_rates(&rows);
     }
-    for (name, hr) in &rows {
+    fig.finish(ok);
+}
+
+fn print_rates(rows: &[(String, f64)]) {
+    let mut t = TextTable::new(vec!["program", "STC hit rate (%)"]);
+    for (name, hr) in rows {
         t.row(vec![name.clone(), format!("{:.1}", 100.0 * hr)]);
     }
     println!("{t}");
@@ -51,5 +62,4 @@ fn main() {
         }
     );
     println!("Paper: ~94% typical; mcf ~85%; omnetpp ~70%.");
-    traces.finish();
 }

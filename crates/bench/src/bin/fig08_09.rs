@@ -10,8 +10,9 @@
 //! and soplex lose ~2% with the double-size STC because fewer evictions
 //! mean fewer MDM counter updates).
 
-use profess_bench::harness::TraceCollector;
-use profess_bench::{init_trace_flag, run_solo, target_from_args, SOLO_TARGET_MISSES};
+use profess_bench::{
+    init_trace_flag, target_from_args, Cell, CellPlan, Figure, SOLO_TARGET_MISSES,
+};
 use profess_core::system::PolicyKind;
 use profess_metrics::table::TextTable;
 use profess_trace::SpecProgram;
@@ -20,8 +21,25 @@ use profess_types::SystemConfig;
 fn main() {
     init_trace_flag();
     let target = target_from_args(SOLO_TARGET_MISSES);
-    let mut traces = TraceCollector::from_env("fig08_09");
+    let base_entries = SystemConfig::scaled_single().stc.entries;
+    let mut plan = CellPlan::new();
+    let cells: Vec<_> = SpecProgram::ALL
+        .into_iter()
+        .map(|prog| {
+            let ids = [0.5f64, 1.0, 2.0].map(|mult| {
+                let mut cfg = SystemConfig::scaled_single();
+                cfg.stc.entries = ((base_entries as f64) * mult) as usize;
+                plan.add(
+                    Cell::solo(&cfg, PolicyKind::Mdm, prog, target)
+                        .labelled(format!("{}:MDM:stc{mult}", prog.name())),
+                )
+            });
+            (prog, ids)
+        })
+        .collect();
+    let mut fig = Figure::start("fig08_09");
     println!("Figures 8-9: sensitivity to STC size (MDM, solo)\n");
+    let run = fig.execute(&plan);
     let mut t = TextTable::new(vec![
         "program",
         "IPC 0.5x",
@@ -33,18 +51,16 @@ fn main() {
         "hit% 1x",
         "hit% 2x",
     ]);
-    let base_entries = SystemConfig::scaled_single().stc.entries;
-    for prog in SpecProgram::ALL {
-        let mut ipcs = Vec::new();
-        let mut hits = Vec::new();
-        for mult in [0.5f64, 1.0, 2.0] {
-            let mut cfg = SystemConfig::scaled_single();
-            cfg.stc.entries = ((base_entries as f64) * mult) as usize;
-            let r = run_solo(&cfg, PolicyKind::Mdm, prog, target);
-            traces.record(&format!("{}:MDM:stc{mult}", prog.name()), &r);
-            ipcs.push(r.programs[0].ipc);
-            hits.push(r.stc_hit_rate);
-        }
+    for (prog, ids) in cells {
+        let Some(reports) = ids
+            .iter()
+            .map(|&c| run.report(c))
+            .collect::<Option<Vec<_>>>()
+        else {
+            continue;
+        };
+        let ipcs: Vec<f64> = reports.iter().map(|r| r.programs[0].ipc).collect();
+        let hits: Vec<f64> = reports.iter().map(|r| r.stc_hit_rate).collect();
         t.row(vec![
             prog.name().to_string(),
             format!("{:.3}", ipcs[0]),
@@ -61,5 +77,5 @@ fn main() {
     println!("Paper (Fig 8): mostly insensitive; mcf/omnetpp lose ~8% at");
     println!("half size; omnetpp/soplex lose ~2% at double size.");
     println!("Paper (Fig 9): hit rates rise with STC size; mcf 75%->85%.");
-    traces.finish();
+    fig.finish(run.report_health());
 }

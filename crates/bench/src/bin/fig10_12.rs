@@ -16,11 +16,9 @@
 //! journaled mid-run snapshots that retries warm-start from.
 //! Trailing workload-id arguments restrict the sweep to a subset.
 
-use profess_bench::harness::{BenchJson, TraceCollector};
 use profess_bench::{
-    init_trace_flag, journal_from_env, normalized_sweep_supervised, print_sweep,
-    report_sweep_health, snapshot_mode_from_env, supervise_from_env, sweep_args,
-    write_rows_artifact, Pool, MULTI_TARGET_MISSES, SWEEP_FAILURE_EXIT_CODE,
+    init_trace_flag, print_sweep, report_skipped, sweep_args, write_rows_artifact, CellPlan,
+    Figure, NormalizedSweep, MULTI_TARGET_MISSES,
 };
 use profess_core::system::PolicyKind;
 use profess_types::SystemConfig;
@@ -29,33 +27,19 @@ fn main() {
     init_trace_flag();
     let (target, workloads) = sweep_args(MULTI_TARGET_MISSES);
     let cfg = SystemConfig::scaled_quad();
-    let sup = supervise_from_env();
-    let journal = journal_from_env("fig10_12");
-    let snap = snapshot_mode_from_env();
-    let mut bench = BenchJson::start("fig10_12");
-    let mut traces = TraceCollector::from_env("fig10_12");
-    let run = normalized_sweep_supervised(
-        &Pool::from_env(),
-        &cfg,
-        PolicyKind::Mdm,
-        target,
-        &workloads,
-        &sup,
-        &journal,
-        &snap,
-        &mut traces,
-    );
-    bench.add_sim_ops(run.executed() as u64);
-    bench.push_cells(&run.cells);
-    bench.set_skipped_malformed(run.skipped_malformed as u64);
-    write_rows_artifact("fig10_12", &run.rows);
-    if !run.rows.is_empty() {
+    let mut plan = CellPlan::new();
+    let sweep = NormalizedSweep::declare(&mut plan, &cfg, PolicyKind::Mdm, target, &workloads);
+    let mut fig = Figure::start_journaled("fig10_12");
+    let run = fig.execute(&plan);
+    let (rows, skipped) = sweep.rows(&run);
+    write_rows_artifact("fig10_12", &rows);
+    if !rows.is_empty() {
         let (unf, ws, eff) = print_sweep(
             &format!(
                 "Figures 10-12: MDM normalized to PoM over {} workload(s)",
-                run.rows.len()
+                rows.len()
             ),
-            &run.rows,
+            &rows,
         );
         println!();
         println!(
@@ -64,7 +48,7 @@ fn main() {
             (ws - 1.0) * 100.0,
             (eff - 1.0) * 100.0
         );
-        let mixed_fairness = run.rows.iter().any(|r| r.unfairness > 1.0);
+        let mixed_fairness = rows.iter().any(|r| r.unfairness > 1.0);
         println!(
             "Some workloads less fair than PoM (expected, MDM ignores slowdowns): {}",
             if mixed_fairness {
@@ -74,10 +58,5 @@ fn main() {
             }
         );
     }
-    let ok = report_sweep_health(&run);
-    traces.finish();
-    bench.finish();
-    if !ok {
-        std::process::exit(SWEEP_FAILURE_EXIT_CODE);
-    }
+    fig.finish(run.report_health() & report_skipped(&skipped));
 }

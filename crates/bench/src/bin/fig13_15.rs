@@ -13,15 +13,15 @@
 //! against plain MDM: RSM guidance should improve fairness, weighted
 //! speedup and swap fraction relative to MDM on most workloads.
 //!
-//! Both sweeps run supervised and share one checkpoint journal
-//! (`PROFESS_CHECKPOINT`); see `fig10_12` for the resilience knobs.
+//! Both sweeps are declared into one cell plan, so the PoM baseline
+//! cells they share run once; the plan runs supervised with one
+//! checkpoint journal (`PROFESS_CHECKPOINT`); see `fig10_12` for the
+//! resilience knobs.
 //! Trailing workload-id arguments restrict the sweeps to a subset.
 
-use profess_bench::harness::{BenchJson, TraceCollector};
 use profess_bench::{
-    init_trace_flag, journal_from_env, normalized_sweep_supervised, print_sweep,
-    report_sweep_health, snapshot_mode_from_env, supervise_from_env, sweep_args,
-    write_rows_artifact, Pool, MULTI_TARGET_MISSES, SWEEP_FAILURE_EXIT_CODE,
+    init_trace_flag, print_sweep, report_skipped, sweep_args, write_rows_artifact, CellPlan,
+    Figure, NormalizedSweep, MULTI_TARGET_MISSES,
 };
 use profess_core::system::PolicyKind;
 use profess_metrics::geomean;
@@ -31,33 +31,26 @@ fn main() {
     init_trace_flag();
     let (target, workloads) = sweep_args(MULTI_TARGET_MISSES);
     let cfg = SystemConfig::scaled_quad();
-    let sup = supervise_from_env();
-    let journal = journal_from_env("fig13_15");
-    let snap = snapshot_mode_from_env();
-    let pool = Pool::from_env();
-    let mut bench = BenchJson::start("fig13_15");
-    let mut traces = TraceCollector::from_env("fig13_15");
-    let run = normalized_sweep_supervised(
-        &pool,
-        &cfg,
-        PolicyKind::Profess,
-        target,
-        &workloads,
-        &sup,
-        &journal,
-        &snap,
-        &mut traces,
-    );
-    bench.add_sim_ops(run.executed() as u64);
-    write_rows_artifact("fig13_15", &run.rows);
-    let profess = &run.rows;
+    let mut plan = CellPlan::new();
+    let profess_sweep =
+        NormalizedSweep::declare(&mut plan, &cfg, PolicyKind::Profess, target, &workloads);
+    // The mechanism check vs plain MDM, as a second stage: the keys
+    // differ by policy, so only the PoM cells are shared, and they run
+    // once.
+    plan.next_stage();
+    let mdm_sweep = NormalizedSweep::declare(&mut plan, &cfg, PolicyKind::Mdm, target, &workloads);
+    let mut fig = Figure::start_journaled("fig13_15");
+    let run = fig.execute(&plan);
+    let (profess, profess_skipped) = profess_sweep.rows(&run);
+    let (mdm, mdm_skipped) = mdm_sweep.rows(&run);
+    write_rows_artifact("fig13_15", &profess);
     if !profess.is_empty() {
         let (unf, ws, eff) = print_sweep(
             &format!(
                 "Figures 13-15: ProFess normalized to PoM over {} workload(s)",
                 profess.len()
             ),
-            profess,
+            &profess,
         );
         println!();
         println!(
@@ -67,29 +60,7 @@ fn main() {
             (eff - 1.0) * 100.0
         );
     }
-    // Mechanism check vs plain MDM, through the same journal (the keys
-    // differ by policy, so the two sweeps never collide). Untraced, as
-    // before supervision: the figure's trace artifact covers the
-    // ProFess sweep only.
-    let mut no_traces = TraceCollector::disabled();
-    let mdm_run = normalized_sweep_supervised(
-        &pool,
-        &cfg,
-        PolicyKind::Mdm,
-        target,
-        &workloads,
-        &sup,
-        &journal,
-        &snap,
-        &mut no_traces,
-    );
-    bench.add_sim_ops(mdm_run.executed() as u64);
-    let mut cells = run.cells.clone();
-    cells.extend(mdm_run.cells.iter().cloned());
-    bench.push_cells(&cells);
-    bench.set_skipped_malformed(run.skipped_malformed.max(mdm_run.skipped_malformed) as u64);
-    let mdm = &mdm_run.rows;
-    if run.all_ok() && mdm_run.all_ok() {
+    if profess_skipped.is_empty() && mdm_skipped.is_empty() {
         let rel = |a: &[f64], b: &[f64]| geomean(a) / geomean(b);
         let unf_vs_mdm = rel(
             &profess.iter().map(|r| r.unfairness).collect::<Vec<_>>(),
@@ -125,10 +96,6 @@ fn main() {
     } else {
         eprintln!("mechanism check skipped: sweep incomplete");
     }
-    let ok = report_sweep_health(&run) & report_sweep_health(&mdm_run);
-    traces.finish();
-    bench.finish();
-    if !ok {
-        std::process::exit(SWEEP_FAILURE_EXIT_CODE);
-    }
+    let ok = run.report_health() & report_skipped(&profess_skipped) & report_skipped(&mdm_skipped);
+    fig.finish(ok);
 }

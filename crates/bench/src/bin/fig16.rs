@@ -7,9 +7,8 @@
 //! (in w09 it slows lbm and GemsFDTD to speed mcf and soplex). w16 is
 //! special: ProFess finds no fairness opportunity beyond MDM's.
 
-use profess_bench::harness::TraceCollector;
 use profess_bench::{
-    init_trace_flag, run_workload, target_from_args, workload_metrics, workload_or_usage, SoloCache,
+    init_trace_flag, target_from_args, workload_or_usage, CellPlan, Figure, SlowdownCells,
 };
 use profess_core::system::PolicyKind;
 use profess_metrics::table::TextTable;
@@ -19,19 +18,30 @@ fn main() {
     init_trace_flag();
     let target = target_from_args(profess_bench::MULTI_TARGET_MISSES);
     let cfg = SystemConfig::scaled_quad();
-    let mut cache = SoloCache::new();
-    let mut traces = TraceCollector::from_env("fig16");
+    let mut plan = CellPlan::new();
+    let cells: Vec<Vec<SlowdownCells>> = ["w09", "w16", "w19"]
+        .into_iter()
+        .map(|id| {
+            let w = workload_or_usage(id);
+            [PolicyKind::Pom, PolicyKind::Mdm, PolicyKind::Profess]
+                .into_iter()
+                .map(|pk| SlowdownCells::declare(&mut plan, &cfg, pk, &w, target))
+                .collect()
+        })
+        .collect();
+    let mut fig = Figure::start("fig16");
     println!("Figure 16: per-program slowdowns under the evaluated schemes\n");
-    for id in ["w09", "w16", "w19"] {
-        let w = workload_or_usage(id);
+    let run = fig.execute(&plan);
+    for per_workload in &cells {
+        let w = per_workload[0].workload;
+        let Some(per_policy) = per_workload
+            .iter()
+            .map(|c| c.metrics(&run))
+            .collect::<Option<Vec<_>>>()
+        else {
+            continue;
+        };
         let mut t = TextTable::new(vec!["program", "PoM", "MDM", "ProFess"]);
-        let mut per_policy = Vec::new();
-        for pk in [PolicyKind::Pom, PolicyKind::Mdm, PolicyKind::Profess] {
-            let solo = cache.solo_ipcs(&cfg, pk, &w, target);
-            let multi = run_workload(&cfg, pk, &w, target);
-            traces.record(&format!("{id}:{}", pk.name()), &multi);
-            per_policy.push(workload_metrics(id, &multi, &solo));
-        }
         for (i, prog) in w.programs.iter().enumerate() {
             t.row(vec![
                 prog.name().to_string(),
@@ -46,9 +56,9 @@ fn main() {
             format!("{:.2}", per_policy[1].unfairness),
             format!("{:.2}", per_policy[2].unfairness),
         ]);
-        println!("{id}:\n{t}");
+        println!("{}:\n{t}", w.id);
     }
     println!("Paper: ProFess helps the most-suffering programs at the cost");
     println!("of lightly loaded ones (w09); w16 offers no opportunity.");
-    traces.finish();
+    fig.finish(run.report_health());
 }

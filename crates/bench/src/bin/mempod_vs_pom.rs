@@ -7,62 +7,54 @@
 //! because it lacks cost-benefit analysis; this motivates PoM as the
 //! paper's baseline.
 //!
-//! Runs supervised (`PROFESS_RETRIES`, `PROFESS_TASK_TIMEOUT_MS`,
-//! `PROFESS_FAULT`): a failed simulation drops its comparison pair and
-//! the binary exits non-zero, instead of one panic killing the batch.
-//! This comparison is not checkpointed — it is short; the resumable
-//! sweeps are the `fig10_12`/`fig13_15` normalized sweeps.
+//! The solo and multiprogram runs form one supervised cell plan
+//! (`PROFESS_RETRIES`, `PROFESS_TASK_TIMEOUT_MS`, `PROFESS_FAULT`): a
+//! failed simulation drops its comparison pair and the binary exits
+//! non-zero, instead of one panic killing the batch. This comparison is
+//! not checkpointed — it renders from full reports, which the journal
+//! does not keep; the resumable sweeps are `fig10_12`/`fig13_15`.
 
-use profess_bench::harness::{BenchJson, TraceCollector};
 use profess_bench::{
-    init_trace_flag, run_solo, run_workload, summarize, supervise_from_env, target_from_args,
-    CellRecord, Pool, MULTI_TARGET_MISSES, SWEEP_FAILURE_EXIT_CODE,
+    init_trace_flag, summarize, target_from_args, CellPlan, Figure, PlanRun, MULTI_TARGET_MISSES,
 };
-use profess_core::system::{PolicyKind, SystemReport};
+use profess_core::system::PolicyKind;
 use profess_metrics::table::TextTable;
-use profess_trace::{workloads, SpecProgram, Workload};
+use profess_trace::{workloads, SpecProgram};
 use profess_types::SystemConfig;
 
 fn main() {
     init_trace_flag();
     let target = target_from_args(MULTI_TARGET_MISSES);
-    let pool = Pool::from_env();
-    let sup = supervise_from_env();
-    let mut bench = BenchJson::start("mempod_vs_pom");
-    let mut traces = TraceCollector::from_env("mempod_vs_pom");
-    let mut cells: Vec<CellRecord> = Vec::new();
-    println!("MemPod vs PoM: average read latency (AMMAT proxy)\n");
-    // Single-program. Jobs flatten to (program, policy) so fault-plan
-    // indices address individual simulations.
+    let mut plan = CellPlan::new();
+    let pair = [PolicyKind::Pom, PolicyKind::MemPod];
+    // Single-program.
     let cfg1 = SystemConfig::scaled_single();
-    let solo_jobs: Vec<(SpecProgram, PolicyKind)> = SpecProgram::ALL
+    let solo: Vec<_> = SpecProgram::ALL
         .into_iter()
-        .flat_map(|p| [(p, PolicyKind::Pom), (p, PolicyKind::MemPod)])
+        .map(|p| (p, pair.map(|pk| plan.solo(&cfg1, pk, p, target))))
         .collect();
-    let solo_out = pool.run_supervised(&solo_jobs, &sup, |_, &(prog, pk)| {
-        run_solo(&cfg1, pk, prog, target)
-    });
-    record_cells(&mut cells, &solo_jobs, &solo_out, |(p, pk)| {
-        format!("{}:{}", p.name(), pk.name())
-    });
-    bench.add_sim_ops(solo_out.len() as u64);
-    for ((prog, pk), out) in solo_jobs.iter().zip(&solo_out) {
-        if let Some(report) = out.outcome.ok_ref() {
-            traces.record(&format!("{}:{}", prog.name(), pk.name()), report);
-        }
-    }
+    // Multi-program over a subset of workloads (every fourth, for time).
+    let cfg4 = SystemConfig::scaled_quad();
+    let multi: Vec<_> = workloads()
+        .iter()
+        .step_by(4)
+        .map(|w| pair.map(|pk| plan.multi(&cfg4, pk, w, target)))
+        .collect();
+    let mut fig = Figure::start("mempod_vs_pom");
+    println!("MemPod vs PoM: average read latency (AMMAT proxy)\n");
+    let run = fig.execute(&plan);
     let mut t = TextTable::new(vec!["program", "PoM lat", "MemPod lat", "ratio"]);
     let mut solo_ratios = Vec::new();
-    for (pair, prog) in solo_out.chunks(2).zip(SpecProgram::ALL) {
-        let (Some(pom), Some(pod)) = (pair[0].outcome.ok_ref(), pair[1].outcome.ok_ref()) else {
+    for (prog, ids) in &solo {
+        let Some([pom, pod]) = latencies(&run, *ids) else {
             continue;
         };
-        let r = pod.avg_read_latency_cycles / pom.avg_read_latency_cycles;
+        let r = pod / pom;
         solo_ratios.push(r);
         t.row(vec![
             prog.name().to_string(),
-            format!("{:.1}", pom.avg_read_latency_cycles),
-            format!("{:.1}", pod.avg_read_latency_cycles),
+            format!("{pom:.1}"),
+            format!("{pod:.1}"),
             format!("{r:.3}"),
         ]);
     }
@@ -77,32 +69,10 @@ fn main() {
         );
         s.geomean
     };
-    // Multi-program over a subset of workloads (every fourth, for time).
-    let cfg4 = SystemConfig::scaled_quad();
-    let multi_jobs: Vec<(Workload, PolicyKind)> = workloads()
+    let multi_ratios: Vec<f64> = multi
         .iter()
-        .step_by(4)
-        .flat_map(|&w| [(w, PolicyKind::Pom), (w, PolicyKind::MemPod)])
+        .filter_map(|&ids| latencies(&run, ids).map(|[pom, pod]| pod / pom))
         .collect();
-    let multi_out = pool.run_supervised(&multi_jobs, &sup, |_, (w, pk)| {
-        run_workload(&cfg4, *pk, w, target)
-    });
-    record_cells(&mut cells, &multi_jobs, &multi_out, |(w, pk)| {
-        format!("{}:{}", w.id, pk.name())
-    });
-    bench.add_sim_ops(multi_out.len() as u64);
-    for ((w, pk), out) in multi_jobs.iter().zip(&multi_out) {
-        if let Some(report) = out.outcome.ok_ref() {
-            traces.record(&format!("{}:{}", w.id, pk.name()), report);
-        }
-    }
-    let mut multi_ratios = Vec::new();
-    for pair in multi_out.chunks(2) {
-        let (Some(pom), Some(pod)) = (pair[0].outcome.ok_ref(), pair[1].outcome.ok_ref()) else {
-            continue;
-        };
-        multi_ratios.push(pod.avg_read_latency_cycles / pom.avg_read_latency_cycles);
-    }
     if !multi_ratios.is_empty() {
         let m = summarize(&multi_ratios);
         println!(
@@ -119,40 +89,11 @@ fn main() {
             }
         );
     }
-    let failed = cells.iter().filter(|c| c.error.is_some()).count();
-    for c in cells.iter().filter(|c| c.error.is_some()) {
-        eprintln!(
-            "cell failed: {} [{}] after {} attempt(s): {}",
-            c.label,
-            c.status,
-            c.attempts,
-            c.error.as_deref().unwrap_or("unknown")
-        );
-    }
-    bench.push_cells(&cells);
-    traces.finish();
-    bench.finish();
-    if failed > 0 {
-        std::process::exit(SWEEP_FAILURE_EXIT_CODE);
-    }
+    fig.finish(run.report_health());
 }
 
-/// Folds one supervised batch into the artifact's cell records.
-fn record_cells<T>(
-    cells: &mut Vec<CellRecord>,
-    jobs: &[T],
-    outs: &[profess_par::Supervised<SystemReport>],
-    label: impl Fn(&T) -> String,
-) {
-    for (job, out) in jobs.iter().zip(outs) {
-        let label = label(job);
-        cells.push(CellRecord {
-            key: label.clone(),
-            label,
-            status: out.outcome.label(),
-            attempts: out.attempts,
-            history: out.history.clone(),
-            error: out.outcome.error(),
-        });
-    }
+/// Mean read latencies of a (PoM, MemPod) cell pair, if both ran.
+fn latencies(run: &PlanRun, ids: [profess_bench::CellId; 2]) -> Option<[f64; 2]> {
+    let [pom, pod] = ids.map(|c| run.report(c).map(|r| r.avg_read_latency_cycles));
+    Some([pom?, pod?])
 }

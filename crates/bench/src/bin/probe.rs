@@ -4,7 +4,7 @@
 //! the figure benches.
 
 use profess_bench::harness::TraceCollector;
-use profess_bench::{init_trace_flag, run_solo, usage_error};
+use profess_bench::{init_trace_flag, usage_error, Cell};
 use profess_core::system::PolicyKind;
 use profess_metrics::table::TextTable;
 use profess_trace::SpecProgram;
@@ -34,7 +34,7 @@ fn main() {
             PolicyKind::Mdm,
         ] {
             let t0 = Instant::now();
-            let r = run_solo(&cfg, pk, prog, target);
+            let r = Cell::solo(&cfg, pk, prog, target).run();
             traces.record(&format!("{}:{}", prog.name(), pk.name()), &r);
             let p = &r.programs[0];
             t.row(vec![

@@ -12,10 +12,9 @@
 //! at 128 K: raw 13% → smoothed 3.3%), and doubling M_samp shrinks σ̂_req.
 //! The eq. 4 analytic lower bound is printed for context.
 
-use profess_bench::harness::TraceCollector;
-use profess_bench::{init_trace_flag, target_from_args};
+use profess_bench::{init_trace_flag, target_from_args, Cell, CellPlan, Figure};
 use profess_core::policies::rsm::analytic_sigma_fraction;
-use profess_core::system::{PolicyKind, SystemBuilder};
+use profess_core::system::PolicyKind;
 use profess_metrics::table::TextTable;
 use profess_trace::SpecProgram;
 use profess_types::SystemConfig;
@@ -23,12 +22,28 @@ use profess_types::SystemConfig;
 fn main() {
     init_trace_flag();
     let target = target_from_args(300_000);
-    let mut traces = TraceCollector::from_env("table4");
+    let mut plan = CellPlan::new();
+    let cells: Vec<_> = [SpecProgram::Bwaves, SpecProgram::Milc, SpecProgram::Omnetpp]
+        .into_iter()
+        .flat_map(|prog| [8 * 1024u64, 16 * 1024, 32 * 1024].map(|m_samp| (prog, m_samp)))
+        .map(|(prog, m_samp)| {
+            let mut cfg = SystemConfig::scaled_single();
+            cfg.rsm.m_samp = m_samp;
+            // RSM's private regions require the ProFess OS support; the
+            // paper's Table 4 likewise measures RSM while it is active.
+            let cell = Cell::solo(&cfg, PolicyKind::Profess, prog, target)
+                .sampled()
+                .labelled(format!("{}:ProFess:msamp{m_samp}", prog.name()));
+            (prog, m_samp, plan.add(cell))
+        })
+        .collect();
+    let mut fig = Figure::start("table4");
     println!("Table 4: RSM sampling accuracy (scaled M_samp sweep)\n");
     println!(
         "eq. 4 analytic sigma (uniform model), N = 128 regions, M = 2^17: {:.1}%\n",
         100.0 * analytic_sigma_fraction(128, 1 << 17)
     );
+    let run = fig.execute(&plan);
     let mut t = TextTable::new(vec![
         "program",
         "M_samp",
@@ -38,33 +53,30 @@ fn main() {
         "mean raw_SFA",
         "periods",
     ]);
-    for prog in [SpecProgram::Bwaves, SpecProgram::Milc, SpecProgram::Omnetpp] {
-        for m_samp in [8 * 1024u64, 16 * 1024, 32 * 1024] {
-            let mut cfg = SystemConfig::scaled_single();
-            cfg.rsm.m_samp = m_samp;
-            // RSM's private regions require the ProFess OS support; the
-            // paper's Table 4 likewise measures RSM while it is active.
-            let report = SystemBuilder::new(cfg)
-                .policy(PolicyKind::Profess)
-                .sample_regions(true)
-                .spec_program(prog, prog.budget_for_misses(target))
-                .run();
-            traces.record(&format!("{}:ProFess:msamp{m_samp}", prog.name()), &report);
-            let s = report.sampling[0]
-                .as_ref()
-                .expect("sampling enabled for this run");
-            // The SF_A sigmas are reported relative to the mean (~1 when
-            // running alone), matching the paper's percentage convention.
-            t.row(vec![
-                prog.name().to_string(),
-                format!("{}K", m_samp / 1024),
-                format!("{:.1}", 100.0 * s.mean_sigma_req),
-                format!("{:.1}", 100.0 * s.sigma_raw_sfa / s.mean_raw_sfa),
-                format!("{:.1}", 100.0 * s.sigma_avg_sfa / s.mean_raw_sfa),
-                format!("{:.3}", s.mean_raw_sfa),
-                format!("{}", s.periods),
-            ]);
-        }
+    let mut ok = run.report_health();
+    for (prog, m_samp, c) in cells {
+        let Some(report) = run.report(c) else {
+            continue;
+        };
+        let Some(s) = report.sampling[0].as_ref() else {
+            eprintln!(
+                "{}: no RSM sampling period completed at M_samp {m_samp}; raise the target",
+                prog.name()
+            );
+            ok = false;
+            continue;
+        };
+        // The SF_A sigmas are reported relative to the mean (~1 when
+        // running alone), matching the paper's percentage convention.
+        t.row(vec![
+            prog.name().to_string(),
+            format!("{}K", m_samp / 1024),
+            format!("{:.1}", 100.0 * s.mean_sigma_req),
+            format!("{:.1}", 100.0 * s.sigma_raw_sfa / s.mean_raw_sfa),
+            format!("{:.1}", 100.0 * s.sigma_avg_sfa / s.mean_raw_sfa),
+            format!("{:.3}", s.mean_raw_sfa),
+            format!("{}", s.periods),
+        ]);
     }
     println!("{t}");
     println!("Paper (at 32x scale, M_samp 64K/128K/256K):");
@@ -73,5 +85,5 @@ fn main() {
     println!("  omnetpp sigma_req 15/12/10%  raw_SFA 6/5/4%    avg_SFA 2.1/1.6/1.4%");
     println!("Expected shape: sigma_req falls as M_samp doubles; smoothing");
     println!("cuts the SF_A sigma several-fold; mean raw SF_A ~= 1.");
-    traces.finish();
+    fig.finish(ok);
 }

@@ -195,14 +195,20 @@ pub struct RunMeta {
 }
 
 impl RunMeta {
-    /// Collects metadata from the environment.
-    pub fn collect() -> Self {
-        RunMeta {
-            hostname: hostname(),
-            os: std::env::consts::OS.to_string(),
-            arch: std::env::consts::ARCH.to_string(),
-            rustc: rustc_version(),
-            commit: git_commit(),
+    /// Starts collecting metadata from the environment: the
+    /// `rustc --version` probe runs as a child process alongside the
+    /// measured run, so its startup stays off the run's critical path;
+    /// [`MetaProbe::finish`] reads it.
+    pub fn probe() -> MetaProbe {
+        MetaProbe {
+            // profess: allow(process_spawn): toolchain probe for BENCH meta, not a worker spawn
+            rustc: std::process::Command::new("rustc")
+                .arg("--version")
+                .stdout(std::process::Stdio::piped())
+                .stderr(std::process::Stdio::null())
+                // profess: allow(thread_spawn): `Command::spawn` starts the rustc probe process; no thread, no simulation result
+                .spawn()
+                .ok(),
         }
     }
 
@@ -227,17 +233,31 @@ fn hostname() -> String {
         .unwrap_or_else(|| "unknown".to_string())
 }
 
-fn rustc_version() -> String {
-    // profess: allow(process_spawn): toolchain probe for BENCH meta, not a worker spawn
-    std::process::Command::new("rustc")
-        .arg("--version")
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .and_then(|o| String::from_utf8(o.stdout).ok())
-        .map(|s| s.trim().to_string())
-        .filter(|s| !s.is_empty())
-        .unwrap_or_else(|| "unknown".to_string())
+/// A [`RunMeta`] whose `rustc --version` probe is still running.
+#[derive(Debug)]
+pub struct MetaProbe {
+    rustc: Option<std::process::Child>,
+}
+
+impl MetaProbe {
+    /// Waits for the probe and assembles the metadata.
+    pub fn finish(self) -> RunMeta {
+        let rustc = self
+            .rustc
+            .and_then(|c| c.wait_with_output().ok())
+            .filter(|o| o.status.success())
+            .and_then(|o| String::from_utf8(o.stdout).ok())
+            .map(|s| s.trim().to_string())
+            .filter(|s| !s.is_empty())
+            .unwrap_or_else(|| "unknown".to_string());
+        RunMeta {
+            hostname: hostname(),
+            os: std::env::consts::OS.to_string(),
+            arch: std::env::consts::ARCH.to_string(),
+            rustc,
+            commit: git_commit(),
+        }
+    }
 }
 
 /// Resolves the checkout's `HEAD` by reading `.git` directly (no `git`
@@ -301,20 +321,31 @@ pub fn results_dir() -> PathBuf {
 /// iterations, counted by [`Runner::finish_json`]) — the worker-thread
 /// count the sweeps ran with, and a [`RunMeta`] provenance block. The
 /// derived `sim_ops_per_sec` divides only simulation work by wall time,
-/// so trend comparisons measure simulator throughput, never the
-/// harness's own sampling effort. (Earlier artifacts carried a single
-/// `ops` field that conflated the two.)
+/// never the harness's own sampling effort — but it counts *runs* per
+/// second, whatever their size. Figure runs recorded with
+/// [`BenchJson::record_plan`] also carry `cells_declared`,
+/// `cells_unique` and `sim_requests` (requests served by the cells that
+/// ran), and `sim_requests_per_sec`, the simulator's real throughput.
 #[derive(Debug)]
 pub struct BenchJson {
     name: String,
     threads: usize,
     sim_ops: u64,
     harness_samples: u64,
-    meta: RunMeta,
+    meta: MetaProbe,
     started: Instant,
     results: Vec<(String, BenchStats)>,
     cells: Option<Vec<Json>>,
     skipped_malformed: Option<u64>,
+    plan: Option<PlanCounts>,
+}
+
+/// The [`crate::CellPlan`] counters of a figure run.
+#[derive(Debug, Clone, Copy)]
+struct PlanCounts {
+    declared: u64,
+    unique: u64,
+    sim_requests: u64,
 }
 
 impl BenchJson {
@@ -326,13 +357,29 @@ impl BenchJson {
             threads: profess_par::default_threads(),
             sim_ops: 0,
             harness_samples: 0,
-            meta: RunMeta::collect(),
+            meta: RunMeta::probe(),
             // profess: allow(determinism_taint): wall time is the quantity a bench run exists to measure
             started: Instant::now(),
             results: Vec::new(),
             cells: None,
             skipped_malformed: None,
+            plan: None,
         }
+    }
+
+    /// Records the figure's [`crate::CellPlan`] run: its executed cells
+    /// count as `sim_ops`, the artifact's `cells` array lists each unique
+    /// cell once, and `cells_declared` / `cells_unique` / `sim_requests`
+    /// (requests served by the cells that ran) are emitted.
+    pub fn record_plan(&mut self, run: &crate::PlanRun) {
+        self.add_sim_ops(run.executed() as u64);
+        self.push_cells(&run.cells);
+        self.set_skipped_malformed(run.skipped_malformed as u64);
+        self.plan = Some(PlanCounts {
+            declared: run.declared() as u64,
+            unique: run.cells.len() as u64,
+            sim_requests: run.sim_requests,
+        });
     }
 
     /// Adds `n` completed simulations to the `sim_ops` counter.
@@ -404,18 +451,25 @@ impl BenchJson {
     /// [`BenchJson::finish`] with an explicit output directory.
     pub fn finish_into(self, dir: &std::path::Path) {
         let wall = self.started.elapsed().as_secs_f64();
-        let per_sec = if wall > 0.0 {
-            self.sim_ops as f64 / wall
-        } else {
-            0.0
-        };
+        let per_sec = |n: u64| if wall > 0.0 { n as f64 / wall } else { 0.0 };
+        let meta = self.meta.finish();
         let mut pairs = vec![
             ("bench", Json::Str(self.name.clone())),
             ("threads", Json::UInt(self.threads as u64)),
-            ("meta", self.meta.to_json()),
+            ("meta", meta.to_json()),
             ("wall_seconds", Json::Num(wall)),
             ("sim_ops", Json::UInt(self.sim_ops)),
-            ("sim_ops_per_sec", Json::Num(per_sec)),
+            ("sim_ops_per_sec", Json::Num(per_sec(self.sim_ops))),
+        ];
+        if let Some(c) = self.plan {
+            pairs.extend([
+                ("cells_declared", Json::UInt(c.declared)),
+                ("cells_unique", Json::UInt(c.unique)),
+                ("sim_requests", Json::UInt(c.sim_requests)),
+                ("sim_requests_per_sec", Json::Num(per_sec(c.sim_requests))),
+            ]);
+        }
+        pairs.extend([
             ("harness_samples", Json::UInt(self.harness_samples)),
             (
                 "results",
@@ -434,7 +488,7 @@ impl BenchJson {
                         .collect(),
                 ),
             ),
-        ];
+        ]);
         if let Some(n) = self.skipped_malformed {
             pairs.push(("skipped_malformed", Json::UInt(n)));
         }

@@ -3,9 +3,10 @@
 //!
 //! Each binary in `src/bin/` reproduces one table or figure (see
 //! `DESIGN.md` for the experiment index). This library provides the run
-//! orchestration they share: solo and multiprogram runs, slowdown
-//! computation against per-policy solo references, and normalized-series
-//! printing.
+//! orchestration they share: the cell planner ([`plan`]) every binary
+//! declares its simulations into, slowdown computation against
+//! per-policy solo references (eq. 1), normalized PoM-relative sweeps,
+//! and their printing and artifacts.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -14,16 +15,18 @@
 pub mod checkpoint;
 pub mod exit;
 pub mod harness;
+pub mod plan;
 pub mod shard;
 pub mod surface;
 
 use profess_core::system::{PolicyKind, RunOutcome, SystemBuilder, SystemReport};
 use profess_core::SystemSnapshot;
-use profess_metrics::{unfairness, weighted_speedup, Json};
-use profess_trace::{SpecProgram, Workload};
+use profess_metrics::{unfairness, weighted_speedup};
+use profess_trace::Workload;
 use profess_types::SystemConfig;
 
 pub use checkpoint::{Journal, MultiCell};
+pub use plan::{Cell, CellId, CellPlan, CellRecord, Figure, PlanRun};
 pub use profess_par::{FaultPlan, Pool, SuperviseConfig, Supervised, TaskOutcome};
 
 /// Default memory operations per program for single-program experiments.
@@ -259,32 +262,6 @@ pub fn summarize(ratios: &[f64]) -> NormSummary {
     }
 }
 
-/// Runs one program alone (on whatever system `cfg` describes).
-pub fn run_solo(
-    cfg: &SystemConfig,
-    policy: PolicyKind,
-    prog: SpecProgram,
-    target_misses: u64,
-) -> SystemReport {
-    SystemBuilder::new(cfg.clone())
-        .policy(policy)
-        .spec_program(prog, prog.budget_for_misses(target_misses))
-        .run()
-}
-
-/// Runs a Table 10 workload on the quad-core system.
-pub fn run_workload(
-    cfg: &SystemConfig,
-    policy: PolicyKind,
-    w: &Workload,
-    target_misses: u64,
-) -> SystemReport {
-    SystemBuilder::new(cfg.clone())
-        .policy(policy)
-        .workload(w, target_misses)
-        .run()
-}
-
 /// Results of a multiprogram run reduced to the paper's figures of merit.
 #[derive(Debug, Clone)]
 pub struct WorkloadMetrics {
@@ -304,35 +281,14 @@ pub struct WorkloadMetrics {
     pub swap_fraction: f64,
 }
 
-/// Computes a workload's metrics given the multiprogram report and the
+/// Computes a workload's metrics from its multiprogram cell and the
 /// matching solo (uncontended) IPCs per program, measured under the same
 /// policy (eq. 1).
-pub fn workload_metrics(id: &str, multi: &SystemReport, solo_ipcs: &[f64]) -> WorkloadMetrics {
-    assert_eq!(multi.programs.len(), solo_ipcs.len());
-    let slowdowns: Vec<f64> = multi
-        .programs
-        .iter()
-        .zip(solo_ipcs)
-        .map(|(p, &sp)| profess_metrics::slowdown(sp, p.ipc))
-        .collect();
-    WorkloadMetrics {
-        id: id.to_string(),
-        weighted_speedup: weighted_speedup(&slowdowns),
-        unfairness: unfairness(&slowdowns),
-        energy_efficiency: multi.requests_per_joule,
-        read_latency: multi.avg_read_latency_cycles,
-        swap_fraction: multi.swap_fraction(),
-        slowdowns,
-    }
-}
-
-/// [`workload_metrics`] computed from a journaled [`MultiCell`] instead
-/// of a live report.
 ///
-/// The supervised sweep routes *both* freshly-simulated and
-/// journal-restored cells through this function, so the floating-point
-/// arithmetic — and therefore the emitted rows — is identical whether a
-/// cell ran this process or was replayed from a checkpoint.
+/// Both freshly-simulated and journal-restored cells flow through this
+/// function, so the floating-point arithmetic — and therefore every
+/// rendered figure — is identical whether a cell ran in this process or
+/// was replayed from a checkpoint.
 pub fn workload_metrics_cell(id: &str, cell: &MultiCell, solo_ipcs: &[f64]) -> WorkloadMetrics {
     assert_eq!(cell.ipcs.len(), solo_ipcs.len());
     let slowdowns: Vec<f64> = cell
@@ -352,80 +308,52 @@ pub fn workload_metrics_cell(id: &str, cell: &MultiCell, solo_ipcs: &[f64]) -> W
     }
 }
 
-/// Caches solo IPC references per (policy, program) so workload sweeps do
-/// not repeat identical solo runs.
-#[derive(Debug, Default)]
-pub struct SoloCache {
-    entries: std::collections::HashMap<(&'static str, SpecProgram), f64>,
+/// A workload's multiprogram cell plus one solo reference per program,
+/// all under one policy: the cells eq. 1 needs.
+#[derive(Debug, Clone)]
+pub struct SlowdownCells {
+    /// The workload.
+    pub workload: Workload,
+    /// The multiprogram cell.
+    pub multi: CellId,
+    /// Solo references, in core order.
+    pub solo: Vec<CellId>,
 }
 
-impl SoloCache {
-    /// Creates an empty cache.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Returns the solo IPC of `prog` under `policy` on the quad system,
-    /// running it if not cached.
-    pub fn solo_ipc(
-        &mut self,
-        cfg: &SystemConfig,
-        policy: PolicyKind,
-        prog: SpecProgram,
-        target_misses: u64,
-    ) -> f64 {
-        *self
-            .entries
-            .entry((policy.name(), prog))
-            .or_insert_with(|| run_solo(cfg, policy, prog, target_misses).programs[0].ipc)
-    }
-
-    /// Solo IPCs for every program of a workload.
-    pub fn solo_ipcs(
-        &mut self,
+impl SlowdownCells {
+    /// Declares `w`'s multiprogram cell and its solo references under
+    /// `policy` on `cfg`.
+    pub fn declare(
+        plan: &mut CellPlan,
         cfg: &SystemConfig,
         policy: PolicyKind,
         w: &Workload,
-        target_misses: u64,
-    ) -> Vec<f64> {
-        w.programs
+        target: u64,
+    ) -> SlowdownCells {
+        let solo = w
+            .programs
             .iter()
-            .map(|&p| self.solo_ipc(cfg, policy, p, target_misses))
-            .collect()
+            .map(|&p| plan.solo(cfg, policy, p, target))
+            .collect();
+        SlowdownCells {
+            workload: *w,
+            multi: plan.multi(cfg, policy, w, target),
+            solo,
+        }
     }
 
-    /// Pre-fills the cache for every (policy, program) pair the given
-    /// workloads will ask for, running the missing solos on `pool`.
-    ///
-    /// Each solo run is independent and internally deterministic, so the
-    /// cache ends up with exactly the values serial on-demand filling
-    /// would produce.
-    // profess: allow(dead_item): public batch pre-warm API; the documented serial-equivalent entry point for external sweeps
-    pub fn warm(
-        &mut self,
-        pool: &Pool,
-        cfg: &SystemConfig,
-        policies: &[PolicyKind],
-        workloads: &[Workload],
-        target_misses: u64,
-    ) {
-        let mut todo: Vec<(PolicyKind, SpecProgram)> = Vec::new();
-        for &pk in policies {
-            for w in workloads {
-                for p in w.programs {
-                    let key = (pk.name(), p);
-                    if !self.entries.contains_key(&key) && !todo.contains(&(pk, p)) {
-                        todo.push((pk, p));
-                    }
-                }
-            }
-        }
-        let ipcs = pool.map(&todo, |&(pk, p)| {
-            run_solo(cfg, pk, p, target_misses).programs[0].ipc
-        });
-        for (&(pk, p), ipc) in todo.iter().zip(ipcs) {
-            self.entries.insert((pk.name(), p), ipc);
-        }
+    /// The workload's metrics, or `None` if any of its cells failed.
+    pub fn metrics(&self, run: &PlanRun) -> Option<WorkloadMetrics> {
+        let solo: Vec<f64> = self
+            .solo
+            .iter()
+            .map(|&c| run.solo_ipc(c))
+            .collect::<Option<_>>()?;
+        Some(workload_metrics_cell(
+            self.workload.id,
+            run.multi(self.multi)?,
+            &solo,
+        ))
     }
 }
 
@@ -447,157 +375,89 @@ pub struct NormalizedRow {
     pub swap_fraction: f64,
 }
 
-/// Runs every Table 10 workload under `policy` and the PoM baseline and
-/// returns the normalized figures of merit. The solo references for the
-/// slowdowns are measured per policy, as in the paper (eq. 1).
-///
-/// Simulations run on a [`Pool`] sized from `PROFESS_THREADS` (default:
-/// available parallelism); the result is byte-identical to a serial
-/// sweep regardless of the thread count.
-// profess: allow(dead_item): documented convenience wrapper over `normalized_sweep_on`; CI drives the supervised variant
-pub fn normalized_sweep(
-    cfg: &SystemConfig,
-    policy: PolicyKind,
-    target_misses: u64,
-) -> Vec<NormalizedRow> {
-    normalized_sweep_on(
-        &Pool::from_env(),
-        cfg,
-        policy,
-        target_misses,
-        &profess_trace::workloads(),
-    )
-}
-
-/// [`normalized_sweep`] over explicit workloads on an explicit pool.
-///
-/// All solo reference runs are warmed first (deduplicated, in input
-/// order), then the two multiprogram runs per workload are mapped across
-/// the pool; rows are assembled in workload order, so the output does
-/// not depend on the pool's thread count or scheduling.
-pub fn normalized_sweep_on(
-    pool: &Pool,
-    cfg: &SystemConfig,
-    policy: PolicyKind,
-    target_misses: u64,
-    workloads: &[Workload],
-) -> Vec<NormalizedRow> {
-    let mut sink = harness::TraceCollector::disabled();
-    normalized_sweep_traced(pool, cfg, policy, target_misses, workloads, &mut sink)
-}
-
-/// [`normalized_sweep_on`] that additionally records every multiprogram
-/// run's trace into `traces` (labelled `<workload>:<policy>`). Runs are
-/// recorded in job order — workload order, PoM before `policy` — so the
-/// collected JSONL does not depend on the pool's thread count.
-///
-/// This is the unsupervised wrapper around
-/// [`normalized_sweep_supervised`]: one attempt per cell, no watchdog,
-/// no journal, and any cell failure aborts the sweep with a panic (the
-/// legacy contract).
-pub fn normalized_sweep_traced(
-    pool: &Pool,
-    cfg: &SystemConfig,
-    policy: PolicyKind,
-    target_misses: u64,
-    workloads: &[Workload],
-    traces: &mut harness::TraceCollector,
-) -> Vec<NormalizedRow> {
-    let run = normalized_sweep_supervised(
-        pool,
-        cfg,
-        policy,
-        target_misses,
-        workloads,
-        &strict_supervision(),
-        &Journal::disabled(),
-        &SnapshotMode::disabled(),
-        traces,
-    );
-    if let Some(c) = run.failed_cells().first() {
-        let err = c.error.clone().unwrap_or_default();
-        // profess: allow(panic): the unsupervised sweep API keeps the legacy abort-on-failure contract
-        panic!("sweep cell {} failed: {err}", c.key);
-    }
-    run.rows
-}
-
-/// The supervision the legacy sweep wrappers use: a single attempt, no
-/// watchdog, no fault injection — failure semantics as close to
-/// [`Pool::map`] as per-cell isolation allows.
-fn strict_supervision() -> SuperviseConfig {
-    SuperviseConfig {
-        retries: 0,
-        timeout: None,
-        faults: FaultPlan::none(),
-    }
-}
-
-/// One cell of a normalized sweep.
-#[derive(Debug, Clone, Copy)]
-enum CellKind {
-    /// A solo (uncontended) reference run of one program.
-    Solo(PolicyKind, SpecProgram),
-    /// A multiprogram run of workload `workloads[i]`.
-    Multi(usize, PolicyKind),
-}
-
-/// A cell's identity: journal key, display label, and what to run.
-#[derive(Debug)]
-struct CellSpec {
-    key: String,
-    label: String,
-    kind: CellKind,
-}
-
-/// A completed cell's value. Fresh multiprogram cells keep their full
-/// report so traces can be recorded; journal-restored cells do not
-/// (traces only cover cells that actually ran this process).
-#[derive(Debug)]
-enum CellValue {
-    Solo(f64),
-    Multi(MultiCell, Option<SystemReport>),
-}
-
-fn encode_cell(v: &CellValue) -> Json {
-    match v {
-        CellValue::Solo(ipc) => Json::obj([("ipc", Json::Num(*ipc))]),
-        CellValue::Multi(cell, _) => cell.to_json(),
-    }
-}
-
-fn decode_cell(kind: CellKind, payload: &Json) -> Option<CellValue> {
-    match kind {
-        CellKind::Solo(..) => Some(CellValue::Solo(checkpoint::solo_ipc_from_json(payload)?)),
-        CellKind::Multi(..) => Some(CellValue::Multi(MultiCell::from_json(payload)?, None)),
-    }
-}
-
-/// One sweep cell's execution record, kept for the harness artifact.
+/// The cells of a normalized sweep — every workload under `policy` and
+/// under the PoM baseline, each with per-policy solo references (eq. 1)
+/// — declared into a [`CellPlan`].
 #[derive(Debug, Clone)]
-pub struct CellRecord {
-    /// The cell's checkpoint-journal key.
-    pub key: String,
-    /// Display label (`w03:profess`, `solo:pom:mcf`).
-    pub label: String,
-    /// `cached`, `ok`, `panicked`, `timed_out`, or `exhausted`.
-    pub status: &'static str,
-    /// Attempts made (0 for journal-restored cells).
-    pub attempts: u32,
-    /// One line per failed attempt, in attempt order.
-    pub history: Vec<String>,
-    /// Terminal failure description, if the cell failed.
-    pub error: Option<String>,
+pub struct NormalizedSweep {
+    /// Per workload: (PoM cells, `policy` cells).
+    pairs: Vec<(SlowdownCells, SlowdownCells)>,
 }
 
-/// Everything a supervised sweep produced.
+impl NormalizedSweep {
+    /// Declares the sweep's cells in its canonical *cell order*: solo
+    /// references first (policy-major, PoM before `policy`, first-seen
+    /// program order), then two multiprogram cells per workload, PoM
+    /// before `policy`. Run alone, this order is the plan's key order —
+    /// the shard supervisor's deal order and a merged shard journal's
+    /// line order.
+    pub fn declare(
+        plan: &mut CellPlan,
+        cfg: &SystemConfig,
+        policy: PolicyKind,
+        target: u64,
+        workloads: &[Workload],
+    ) -> NormalizedSweep {
+        let policies = [PolicyKind::Pom, policy];
+        let solos: Vec<Vec<Vec<CellId>>> = policies
+            .iter()
+            .map(|&pk| {
+                workloads
+                    .iter()
+                    .map(|w| {
+                        w.programs
+                            .iter()
+                            .map(|&p| plan.solo(cfg, pk, p, target))
+                            .collect()
+                    })
+                    .collect()
+            })
+            .collect();
+        let pairs = workloads
+            .iter()
+            .enumerate()
+            .map(|(wi, w)| {
+                let [base, m] = [0, 1].map(|k| SlowdownCells {
+                    workload: *w,
+                    multi: plan.multi(cfg, policies[k], w, target),
+                    solo: solos[k][wi].clone(),
+                });
+                (base, m)
+            })
+            .collect();
+        NormalizedSweep { pairs }
+    }
+
+    /// Normalized rows for every workload whose cells all succeeded, in
+    /// workload order, and the ids of the workloads left out.
+    pub fn rows(&self, run: &PlanRun) -> (Vec<NormalizedRow>, Vec<String>) {
+        let mut rows = Vec::new();
+        let mut skipped = Vec::new();
+        for (base, m) in &self.pairs {
+            match (base.metrics(run), m.metrics(run)) {
+                (Some(base), Some(m)) => rows.push(NormalizedRow {
+                    id: m.id,
+                    unfairness: m.unfairness / base.unfairness,
+                    weighted_speedup: m.weighted_speedup / base.weighted_speedup,
+                    energy_efficiency: m.energy_efficiency / base.energy_efficiency,
+                    read_latency: m.read_latency / base.read_latency,
+                    swap_fraction: m.swap_fraction / base.swap_fraction.max(1e-12),
+                }),
+                _ => skipped.push(base.workload.id.to_string()),
+            }
+        }
+        (rows, skipped)
+    }
+}
+
+/// Everything a supervised normalized sweep produced.
 #[derive(Debug)]
 pub struct SweepRun {
     /// Normalized rows for every workload whose cells all succeeded, in
     /// workload order.
     pub rows: Vec<NormalizedRow>,
-    /// Per-cell execution records, in deterministic cell order (solo
-    /// references first, then per-workload multiprogram cells).
+    /// Per-cell execution records, in cell order (see
+    /// [`NormalizedSweep::declare`]).
     pub cells: Vec<CellRecord>,
     /// Workload ids missing from `rows` because a required cell failed.
     pub skipped: Vec<String>,
@@ -645,40 +505,17 @@ pub fn report_sweep_health(run: &SweepRun) -> bool {
             run.executed()
         );
     }
-    for c in run.failed_cells() {
-        eprintln!(
-            "cell failed: {} [{}] after {} attempt(s): {}",
-            c.label,
-            c.status,
-            c.attempts,
-            c.error.as_deref().unwrap_or("unknown")
-        );
-        for h in &c.history {
-            eprintln!("  {h}");
-        }
-    }
-    if !run.all_ok() {
-        eprintln!("workloads without results: {}", run.skipped.join(" "));
-    }
-    run.all_ok()
+    plan::report_failures(&run.cells);
+    report_skipped(&run.skipped)
 }
 
-/// Builds the simulation one cell describes (policy and program set
-/// applied, nothing run yet).
-fn cell_builder(
-    cfg: &SystemConfig,
-    kind: CellKind,
-    workloads: &[Workload],
-    target_misses: u64,
-) -> SystemBuilder {
-    match kind {
-        CellKind::Solo(pk, p) => SystemBuilder::new(cfg.clone())
-            .policy(pk)
-            .spec_program(p, p.budget_for_misses(target_misses)),
-        CellKind::Multi(wi, pk) => SystemBuilder::new(cfg.clone())
-            .policy(pk)
-            .workload(&workloads[wi], target_misses),
+/// Prints the workloads a sweep assembled no row for, if any; returns
+/// whether every workload has its row.
+pub fn report_skipped(skipped: &[String]) -> bool {
+    if !skipped.is_empty() {
+        eprintln!("workloads without results: {}", skipped.join(" "));
     }
+    skipped.is_empty()
 }
 
 /// Runs one cell under a cancel token, with the snapshot mode applied.
@@ -728,71 +565,35 @@ pub(crate) fn run_cell(
     }
 }
 
-/// Enumerates the cells of a normalized sweep, in spec order:
-/// deduplicated solo references first (policy-major, first-seen program
-/// order), then two multiprogram cells per workload, PoM before
-/// `policy`. This order is the canonical *cell order* every consumer
-/// shares — the sweep's journal append order when run serially, the
-/// shard supervisor's deal order, and the merged journal's line order.
-fn normalized_cell_specs(
+/// Declares a normalized sweep into a fresh plan.
+fn normalized_plan(
     cfg: &SystemConfig,
     policy: PolicyKind,
     target_misses: u64,
     workloads: &[Workload],
-) -> Vec<CellSpec> {
-    let cfgfp = checkpoint::config_fingerprint(cfg, target_misses);
-    let policies = [PolicyKind::Pom, policy];
-    let mut specs: Vec<CellSpec> = Vec::new();
-    let mut seen: Vec<(&'static str, SpecProgram)> = Vec::new();
-    for &pk in &policies {
-        for w in workloads {
-            for &p in w.programs.iter() {
-                if !seen.contains(&(pk.name(), p)) {
-                    seen.push((pk.name(), p));
-                    specs.push(CellSpec {
-                        key: format!("solo|{}|{}|{}", pk.name(), p.name(), cfgfp),
-                        label: format!("solo:{}:{}", pk.name(), p.name()),
-                        kind: CellKind::Solo(pk, p),
-                    });
-                }
-            }
-        }
-    }
-    for (wi, w) in workloads.iter().enumerate() {
-        for &pk in &policies {
-            specs.push(CellSpec {
-                key: format!("multi|{}|{}|{}", pk.name(), w.id, cfgfp),
-                label: format!("{}:{}", w.id, pk.name()),
-                kind: CellKind::Multi(wi, pk),
-            });
-        }
-    }
-    specs
+) -> (CellPlan, NormalizedSweep) {
+    let mut plan = CellPlan::new();
+    let sweep = NormalizedSweep::declare(&mut plan, cfg, policy, target_misses, workloads);
+    (plan, sweep)
 }
 
-/// The spec-order journal keys of a normalized sweep's cells — the
-/// shard units `profess-shard` deals to worker processes, and the line
-/// order of a merged shard journal.
+/// The cell-order journal keys of a normalized sweep — the shard units
+/// `profess-shard` deals to worker processes, and the line order of a
+/// merged shard journal.
 pub fn normalized_cell_keys(
     cfg: &SystemConfig,
     policy: PolicyKind,
     target_misses: u64,
     workloads: &[Workload],
 ) -> Vec<String> {
-    normalized_cell_specs(cfg, policy, target_misses, workloads)
-        .into_iter()
-        .map(|s| s.key)
-        .collect()
+    normalized_plan(cfg, policy, target_misses, workloads)
+        .0
+        .keys()
 }
 
 /// Runs (or skips) **one** normalized-sweep cell, identified by its
-/// journal key — the shard worker's unit of work. A cell already in
-/// `journal` with a decodable payload is skipped (`Ok(false)`); a
-/// fresh cell runs under single-slot supervision with `sup`'s retry
-/// budget and is journaled on success (`Ok(true)`). A terminal failure
-/// (retries exhausted) is `Err` with the failure description, as is an
-/// unknown key — a worker must never silently accept a cell it cannot
-/// map back to the sweep spec.
+/// journal key — the shard worker's unit of work (see
+/// [`CellPlan::run_one`]).
 pub fn run_normalized_cell(
     cfg: &SystemConfig,
     policy: PolicyKind,
@@ -802,33 +603,9 @@ pub fn run_normalized_cell(
     journal: &Journal,
     key: &str,
 ) -> Result<bool, String> {
-    let specs = normalized_cell_specs(cfg, policy, target_misses, workloads);
-    let Some(spec) = specs.iter().find(|s| s.key == key) else {
-        return Err(format!("unknown cell key `{key}`"));
-    };
-    if journal
-        .lookup(key)
-        .and_then(|p| decode_cell(spec.kind, &p))
-        .is_some()
-    {
-        return Ok(false);
-    }
-    let outs = Pool::new(1).run_supervised(&[()], sup, |ctx, &()| {
-        let b = cell_builder(cfg, spec.kind, workloads, target_misses);
-        let report = run_cell(
-            b,
-            &SnapshotMode::disabled(),
-            journal,
-            &snapshot_key(key),
-            &ctx,
-        );
-        let value = match spec.kind {
-            CellKind::Solo(..) => CellValue::Solo(report.programs[0].ipc),
-            CellKind::Multi(..) => CellValue::Multi(MultiCell::from_report(&report), Some(report)),
-        };
-        journal.record(key, encode_cell(&value));
-    });
-    conclude_single_cell(outs)
+    normalized_plan(cfg, policy, target_misses, workloads)
+        .0
+        .run_one(key, sup, journal)
 }
 
 /// Reduces a single-slot supervised run to the worker contract:
@@ -843,32 +620,14 @@ pub(crate) fn conclude_single_cell(outs: Vec<Supervised<()>>) -> Result<bool, St
     }
 }
 
-/// The supervised, checkpointable normalized sweep all `normalized_sweep*`
-/// entry points are built on.
-///
-/// The sweep decomposes into cells — deduplicated solo references (in
-/// [`SoloCache::warm`]'s order), then two multiprogram runs per
-/// workload, PoM before `policy`. Cells already present in `journal`
-/// (same key, valid fingerprint) are restored instead of re-run; the
-/// rest execute under [`Pool::run_supervised`] with `sup`'s retry /
-/// timeout / fault-injection settings, and each is journaled the moment
-/// it completes. Fault-plan indices refer to positions in the *pending*
-/// (not-yet-journaled) cell list.
-///
-/// Rows are assembled only for workloads whose four cell kinds all
+/// A normalized sweep of `workloads` (`policy` over PoM) run as one
+/// [`CellPlan`]: see [`CellPlan::execute`] for journal replay, supervision,
+/// snapshots and trace recording, and [`NormalizedSweep::rows`] for the
+/// row assembly. Rows come only from workloads whose cells all
 /// succeeded; the rest are listed in [`SweepRun::skipped`]. Both fresh
 /// and restored cells flow through [`workload_metrics_cell`], so a
-/// resumed sweep's rows are byte-identical to an uninterrupted run's.
-/// Traces are recorded in cell order for multiprogram cells that ran
-/// this process (restored cells have no trace to contribute).
-///
-/// With `snap` enabled, a preempted cell (watchdog cancel under
-/// `snap.on_cancel`, or the deterministic `snap.at` clock on first
-/// attempts) journals a mid-run [`SystemSnapshot`] under
-/// [`snapshot_key`] and fails the attempt; the retry restores the
-/// snapshot and runs only the remaining cycles. Snapshot-restored
-/// completions are byte-identical to straight-through runs, so the
-/// emitted rows do not depend on whether any cell was preempted.
+/// resumed or warm-started sweep's rows are byte-identical to an
+/// uninterrupted run's, at any thread count.
 #[allow(clippy::too_many_arguments)]
 pub fn normalized_sweep_supervised(
     pool: &Pool,
@@ -881,120 +640,15 @@ pub fn normalized_sweep_supervised(
     snap: &SnapshotMode,
     traces: &mut harness::TraceCollector,
 ) -> SweepRun {
-    let specs = normalized_cell_specs(cfg, policy, target_misses, workloads);
-
-    // Replay the journal; only the remaining cells run.
-    let mut values: Vec<Option<CellValue>> = specs.iter().map(|_| None).collect();
-    let mut pending: Vec<usize> = Vec::new();
-    for (i, s) in specs.iter().enumerate() {
-        match journal.lookup(&s.key).and_then(|p| decode_cell(s.kind, &p)) {
-            Some(v) => values[i] = Some(v),
-            None => pending.push(i),
-        }
-    }
-    let resumed = specs.len() - pending.len();
-
-    let outs = pool.run_supervised(&pending, sup, |ctx, &si| {
-        let spec = &specs[si];
-        let skey = snapshot_key(&spec.key);
-        let b = cell_builder(cfg, spec.kind, workloads, target_misses);
-        let report = run_cell(b, snap, journal, &skey, &ctx);
-        let value = match spec.kind {
-            CellKind::Solo(..) => CellValue::Solo(report.programs[0].ipc),
-            CellKind::Multi(..) => CellValue::Multi(MultiCell::from_report(&report), Some(report)),
-        };
-        journal.record(&spec.key, encode_cell(&value));
-        value
-    });
-
-    let mut cells: Vec<CellRecord> = specs
-        .iter()
-        .map(|s| CellRecord {
-            key: s.key.clone(),
-            label: s.label.clone(),
-            status: "cached",
-            attempts: 0,
-            history: Vec::new(),
-            error: None,
-        })
-        .collect();
-    for (&si, out) in pending.iter().zip(outs) {
-        let profess_par::Supervised {
-            outcome,
-            attempts,
-            history,
-        } = out;
-        let rec = &mut cells[si];
-        rec.status = outcome.label();
-        rec.attempts = attempts;
-        rec.history = history;
-        rec.error = outcome.error();
-        if let Some(v) = outcome.into_ok() {
-            values[si] = Some(v);
-        }
-    }
-
-    // Traces, in deterministic cell order (fresh multiprogram cells).
-    for (s, v) in specs.iter().zip(&values) {
-        if let Some(CellValue::Multi(_, Some(report))) = v {
-            traces.record(&s.label, report);
-        }
-    }
-
-    // Row assembly from the cell values alone.
-    let mut solo_map: std::collections::BTreeMap<(&'static str, SpecProgram), f64> =
-        std::collections::BTreeMap::new();
-    let mut multi_map: std::collections::BTreeMap<(usize, &'static str), &MultiCell> =
-        std::collections::BTreeMap::new();
-    for (s, v) in specs.iter().zip(&values) {
-        match (s.kind, v) {
-            (CellKind::Solo(pk, p), Some(CellValue::Solo(ipc))) => {
-                solo_map.insert((pk.name(), p), *ipc);
-            }
-            (CellKind::Multi(wi, pk), Some(CellValue::Multi(cell, _))) => {
-                multi_map.insert((wi, pk.name()), cell);
-            }
-            _ => {}
-        }
-    }
-    let mut rows = Vec::new();
-    let mut skipped = Vec::new();
-    for (wi, w) in workloads.iter().enumerate() {
-        let row = (|| {
-            let base_cell = multi_map.get(&(wi, PolicyKind::Pom.name()))?;
-            let m_cell = multi_map.get(&(wi, policy.name()))?;
-            let base_solo: Vec<f64> = w
-                .programs
-                .iter()
-                .map(|p| solo_map.get(&(PolicyKind::Pom.name(), *p)).copied())
-                .collect::<Option<_>>()?;
-            let solo: Vec<f64> = w
-                .programs
-                .iter()
-                .map(|p| solo_map.get(&(policy.name(), *p)).copied())
-                .collect::<Option<_>>()?;
-            let base = workload_metrics_cell(w.id, base_cell, &base_solo);
-            let m = workload_metrics_cell(w.id, m_cell, &solo);
-            Some(NormalizedRow {
-                id: w.id.to_string(),
-                unfairness: m.unfairness / base.unfairness,
-                weighted_speedup: m.weighted_speedup / base.weighted_speedup,
-                energy_efficiency: m.energy_efficiency / base.energy_efficiency,
-                read_latency: m.read_latency / base.read_latency,
-                swap_fraction: m.swap_fraction / base.swap_fraction.max(1e-12),
-            })
-        })();
-        match row {
-            Some(r) => rows.push(r),
-            None => skipped.push(w.id.to_string()),
-        }
-    }
+    let (plan, sweep) = normalized_plan(cfg, policy, target_misses, workloads);
+    let run = plan.execute(pool, sup, journal, snap, traces);
+    let (rows, skipped) = sweep.rows(&run);
     SweepRun {
         rows,
-        cells,
         skipped,
-        resumed,
-        skipped_malformed: journal.rejected(),
+        resumed: run.resumed,
+        skipped_malformed: run.skipped_malformed,
+        cells: run.cells,
     }
 }
 
@@ -1120,7 +774,7 @@ mod tests {
     #[test]
     fn metrics_from_report() {
         let multi = fake_report(&[1.0, 2.0]);
-        let m = workload_metrics("w01", &multi, &[2.0, 2.0]);
+        let m = workload_metrics_cell("w01", &MultiCell::from_report(&multi), &[2.0, 2.0]);
         assert_eq!(m.slowdowns, vec![2.0, 1.0]);
         assert!((m.unfairness - 2.0).abs() < 1e-12);
         assert!((m.weighted_speedup - 1.5).abs() < 1e-12);

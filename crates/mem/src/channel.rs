@@ -30,7 +30,7 @@ struct Queued {
     enq: Cycle,
 }
 
-/// Cached per-queue [`ChannelSim::next_event`] contributions, valid only
+/// Cached per-queue [`ChannelSim::next_event`] contributions, recorded
 /// at cycle `at` while the channel is unblocked.
 ///
 /// [`ChannelSim::advance`] ends its issue loop with both queues refusing
@@ -38,12 +38,48 @@ struct Queued {
 /// `next_event` would re-derive by scanning both queues again, so they
 /// are recorded here instead. [`ChannelSim::push`] folds a new request's
 /// contribution in incrementally (it cannot change any existing entry's
-/// plan), and every other state mutation drops the hint.
+/// plan), and every other state mutation — an issue, a swap, a fired
+/// refresh, a restore — drops the hint.
+///
+/// The hint outlives its own cycle: see [`SchedHint::valid_at`].
 #[derive(Debug, Clone, Copy)]
 struct SchedHint {
     at: Cycle,
+    /// Earliest cycle a refused read could start ([`Cycle::NEVER`] if
+    /// none is waiting on a timing constraint).
     read: Cycle,
+    /// The same for the write queue.
     write: Cycle,
+    /// A request pushed since `at` could start at its push cycle without
+    /// yielding to the FR-FCFS cap. It stays startable until the next
+    /// mutation, so from then on the queues no longer all refuse and
+    /// `next_event` is simply the next cycle.
+    ready: bool,
+}
+
+impl SchedHint {
+    /// Whether the hint still describes the queues exactly at `now`.
+    ///
+    /// With bank and bus state untouched, a queued request's first-command
+    /// cycle is `max(S, now)` for a state-only `S` (every arm of
+    /// [`BankState::plan`] clamps to `now` last, and a row hit's bus wait
+    /// is another state-only term). An entry refused at `at` has `S > at`;
+    /// for any `at <= now < min(read, write)` it still has `S > now`, so it
+    /// is still refused with the same cycle, and an entry that yielded to
+    /// the FR-FCFS cap still yields (the cap test reads only bank streaks
+    /// and queue contents, and a push adds only the youngest entry). A
+    /// `ready` entry stays startable for every `now >= at`.
+    #[inline]
+    fn valid_at(&self, now: Cycle) -> bool {
+        self.at <= now && (self.ready || now < self.read.min(self.write))
+    }
+
+    /// Whether both queues refuse at `now`, so an issue loop at `now`
+    /// would issue nothing.
+    #[inline]
+    fn refuses_at(&self, now: Cycle) -> bool {
+        !self.ready && self.valid_at(now)
+    }
 }
 
 /// How far beyond "now" the scheduler may commit a request's first command.
@@ -129,9 +165,8 @@ impl ChannelSim {
         // The outer loop advances channels lazily, so banks may be
         // refresh-stale here; any plan over this request must see the
         // same bank state an eagerly advanced channel would. A fired
-        // refresh rewrites bank state, so the hint cannot survive it.
+        // refresh rewrites bank state, so `run_refresh` drops the hint.
         if self.next_refresh <= now {
-            self.sched_hint = None;
             self.run_refresh(now);
         }
         let q = Queued { req, enq: now };
@@ -153,31 +188,24 @@ impl ChannelSim {
     /// older starved request that unskips a capped row hit — so the only
     /// delta versus the recorded refusal cycles is the new entry's own
     /// contribution: its first-command cycle if it cannot start at
-    /// `now`, `now + 1` if it can (the queue pick would return `Ok`),
-    /// and nothing at all if the cap forces it to yield.
+    /// `now`, the `ready` flag if it can (the queue pick would return
+    /// `Ok`), and nothing at all if the cap forces it to yield.
     fn note_push(&mut self, q: &Queued, now: Cycle) {
         let Some(h) = self.sched_hint else {
             return;
         };
-        if h.at != now {
+        if !h.valid_at(now) {
             self.sched_hint = None;
             return;
         }
-        // Refusal cycles are strictly after `now`, so a queue already at
-        // `now + 1` cannot get earlier — skip planning the new entry.
-        let queue_at = match q.req.kind {
-            AccessKind::Read => h.read,
-            AccessKind::Write => h.write,
-        };
-        if queue_at <= now + 1 {
+        if h.ready {
+            // Already startable: the new entry cannot change that.
             return;
         }
         let (first_cmd, p) = self.plan(q, now);
-        let contribution = if first_cmd.raw() > now.raw() + ISSUE_SLACK {
-            first_cmd
-        } else {
-            let capped = p.row_hit && self.bank(q.req.loc).hit_streak >= self.timing.frfcfs_cap;
-            let yields = capped && {
+        let refused = first_cmd.raw() > now.raw() + ISSUE_SLACK;
+        let yields =
+            !refused && p.row_hit && self.bank(q.req.loc).hit_streak >= self.timing.frfcfs_cap && {
                 let queue = match q.req.kind {
                     AccessKind::Read => &self.read_q,
                     AccessKind::Write => &self.write_q,
@@ -189,17 +217,15 @@ impl ChannelSim {
                         && o.enq < q.enq
                 })
             };
-            if yields {
-                Cycle::NEVER
-            } else {
-                now + 1
-            }
-        };
         // profess: allow(panic): checked Some above; no mutation since
         let h = self.sched_hint.as_mut().expect("hint present");
+        if !refused {
+            h.ready |= !yields;
+            return;
+        }
         match q.req.kind {
-            AccessKind::Read => h.read = h.read.min(contribution),
-            AccessKind::Write => h.write = h.write.min(contribution),
+            AccessKind::Read => h.read = h.read.min(first_cmd),
+            AccessKind::Write => h.write = h.write.min(first_cmd),
         }
     }
 
@@ -266,11 +292,15 @@ impl ChannelSim {
         }
     }
 
-    /// Applies all pending M1 refreshes up to `now`.
+    /// Applies all pending M1 refreshes up to `now`. A fired refresh
+    /// rewrites bank state, so it drops the scheduling hint.
     fn run_refresh(&mut self, now: Cycle) {
         let Some(refi) = self.timing.m1.t_refi else {
             return;
         };
+        if self.next_refresh <= now {
+            self.sched_hint = None;
+        }
         while self.next_refresh <= now {
             let at = self.next_refresh;
             let t_rfc = self.timing.m1.t_rfc;
@@ -289,7 +319,6 @@ impl ChannelSim {
     /// of run so refresh (and its energy) is accounted to the same final
     /// cycle as a channel that was advanced every step.
     pub fn catch_up_refresh(&mut self, now: Cycle) {
-        self.sched_hint = None;
         self.run_refresh(now);
     }
 
@@ -435,6 +464,14 @@ impl ChannelSim {
             self.drain_done(now, served);
             return;
         }
+        if self.sched_hint.is_some_and(|h| h.refuses_at(now)) {
+            // Both queues still refuse exactly as recorded: the issue loop
+            // would only re-apply the drain-mode update and re-derive the
+            // same hint.
+            self.update_drain_mode();
+            self.drain_done(now, served);
+            return;
+        }
         if self.read_q.is_empty() && self.write_q.is_empty() {
             // Nothing to schedule: an empty pass through the issue loop,
             // with the drain-mode update it would have applied.
@@ -443,6 +480,7 @@ impl ChannelSim {
                 at: now,
                 read: Cycle::NEVER,
                 write: Cycle::NEVER,
+                ready: false,
             });
             self.drain_done(now, served);
             return;
@@ -498,6 +536,7 @@ impl ChannelSim {
                                 at: now,
                                 read,
                                 write,
+                                ready: false,
                             });
                         }
                     }
@@ -539,8 +578,12 @@ impl ChannelSim {
         let mut t = self.inflight_min_done;
         if self.blocked_until > now {
             t = t.min(self.blocked_until);
-        } else if let Some(h) = self.sched_hint.filter(|h| h.at == now) {
-            t = t.min(h.read).min(h.write);
+        } else if let Some(h) = self.sched_hint.filter(|h| h.valid_at(now)) {
+            t = if h.ready {
+                now + 1
+            } else {
+                t.min(h.read).min(h.write)
+            };
         } else {
             if let Err(e) = self.pick(&self.read_q, now) {
                 t = t.min(e);
@@ -1196,6 +1239,91 @@ mod tests {
         );
         let err = c.restore_state(&other.snapshot_state()).unwrap_err();
         assert!(err.contains("banks"), "{err}");
+    }
+
+    /// The scheduling hint is a pure cache: a channel that keeps it
+    /// across cycles must behave exactly like one that re-plans on every
+    /// call. Random read/write mixes swing the write queue across both
+    /// drain thresholds, the run spans many refresh intervals, and swaps
+    /// block the channel mid-stream.
+    #[test]
+    fn sched_hint_matches_replanning_reference() {
+        fn call<T>(reference: &mut ChannelSim, f: impl FnOnce(&mut ChannelSim) -> T) -> T {
+            reference.sched_hint = None;
+            f(reference)
+        }
+        let refi = MemTimingConfig::paper().m1.t_refi.unwrap();
+        for seed in 1..=12u64 {
+            let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+            let mut rand = move |n: u64| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                state % n
+            };
+            let (mut hinted, mut reference) = (ch(), ch());
+            let (mut out_h, mut out_r) = (Vec::new(), Vec::new());
+            let mut now = Cycle(0);
+            let mut id = 0u64;
+            // Phases alternate between write bursts (drain mode on) and
+            // read-heavy stretches (drain mode off again).
+            while now.raw() < 12 * refi {
+                let write_pct = if (now.raw() / 3000).is_multiple_of(2) {
+                    80
+                } else {
+                    15
+                };
+                for _ in 0..rand(4) {
+                    id += 1;
+                    let module = if rand(3) == 0 { Module::M2 } else { Module::M1 };
+                    let (bank, row) = (rand(4) as u32, rand(3));
+                    let req = if rand(100) < write_pct {
+                        wr(id, module, bank, row)
+                    } else {
+                        rd(id, module, bank, row)
+                    };
+                    hinted.push(req, now);
+                    call(&mut reference, |c| c.push(req, now));
+                }
+                if rand(400) == 0 {
+                    let m1 = MemLoc {
+                        module: Module::M1,
+                        bank: rand(4) as u32,
+                        row: rand(3),
+                    };
+                    let m2 = MemLoc {
+                        module: Module::M2,
+                        bank: rand(4) as u32,
+                        row: rand(3),
+                    };
+                    let done = hinted.begin_swap(now, m1, m2);
+                    assert_eq!(done, call(&mut reference, |c| c.begin_swap(now, m1, m2)));
+                }
+                hinted.advance(now, &mut out_h);
+                call(&mut reference, |c| c.advance(now, &mut out_r));
+                let next = hinted.next_event(now);
+                assert_eq!(
+                    next,
+                    call(&mut reference, |c| c.next_event(now)),
+                    "seed {seed} at {now:?}"
+                );
+                // Step to the next event, or stop short of it so that
+                // advances land strictly inside a hint's validity window.
+                now = match rand(3) {
+                    0 if next < Cycle::NEVER => next,
+                    _ => now + 1 + rand(40),
+                };
+            }
+            assert!(hinted.stats().refreshes >= 10, "run spans refreshes");
+            assert!(hinted.stats().swaps > 0, "run includes swaps");
+            assert_eq!(out_h, out_r, "seed {seed}: served streams differ");
+            assert_eq!(hinted.stats(), reference.stats());
+            assert_eq!(hinted.energy(), reference.energy());
+            assert_eq!(
+                hinted.energy_joules(now).to_bits(),
+                reference.energy_joules(now).to_bits()
+            );
+        }
     }
 
     #[test]

@@ -87,14 +87,6 @@ impl<R> TaskOutcome<R> {
         matches!(self, TaskOutcome::Ok(_))
     }
 
-    /// The value, if [`TaskOutcome::Ok`].
-    pub fn ok_ref(&self) -> Option<&R> {
-        match self {
-            TaskOutcome::Ok(r) => Some(r),
-            _ => None,
-        }
-    }
-
     /// Consumes the outcome into its value, if any.
     pub fn into_ok(self) -> Option<R> {
         match self {

@@ -71,6 +71,15 @@ PROFESS_RESULTS_DIR="$smoke_dir" \
     cargo run --release --offline -q -p profess-bench --bin fig05 -- 200 > /dev/null
 test -s "$smoke_dir/BENCH_fig05.json"
 
+# Figure goldens: every figure/table binary at a small budget must print
+# exactly the committed results/golden_small/<bin>.txt (artifact-path
+# lines masked), serially and on two threads — the cell planner's output
+# may depend on neither. Drift is a simulator behaviour change and must
+# be a reviewed refresh (`scripts/golden_small.sh --write`), never an
+# accident; this is the gate against stale committed figures.
+echo "==> figure goldens (13 bins, small budget, 1 and 2 threads)"
+scripts/golden_small.sh 1 2
+
 # Bench trend gate (DESIGN.md §12): first prove the comparator itself —
 # the committed synthetic >15% regression fixture MUST fail (exit 2) and
 # the within-threshold fixture must pass — then gate the fresh engine

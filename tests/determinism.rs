@@ -11,6 +11,11 @@
 
 use profess::prelude::*;
 use profess::report::report_to_json;
+use profess_bench::harness::TraceCollector;
+use profess_bench::{
+    rows_to_json, CellPlan, FaultPlan, Journal, NormalizedSweep, Pool, SnapshotMode,
+    SuperviseConfig,
+};
 
 /// Every migration policy the simulator implements.
 const ALL_POLICIES: [PolicyKind; 9] = [
@@ -142,6 +147,34 @@ fn golden_multiprogram_report_identical_for_every_policy() {
     }
 }
 
+/// A normalized ProFess-vs-PoM sweep over two workloads, declared into
+/// one cell plan and run on `threads` workers with single-attempt
+/// supervision and no journal. Returns the canonical row JSON and the
+/// number of unique cells the plan ran.
+fn planned_sweep(threads: usize, traces: &mut TraceCollector) -> (String, usize) {
+    let mut cfg = SystemConfig::scaled_quad();
+    cfg.seed = 11;
+    cfg.rsm.m_samp = 512;
+    let ws = workloads();
+    let subset = [ws[0], ws[7]];
+    let mut plan = CellPlan::new();
+    let sweep = NormalizedSweep::declare(&mut plan, &cfg, PolicyKind::Profess, 2_000, &subset);
+    let strict = SuperviseConfig {
+        retries: 0,
+        timeout: None,
+        faults: FaultPlan::none(),
+    };
+    let run = plan.execute(
+        &Pool::new(threads),
+        &strict,
+        &Journal::disabled(),
+        &SnapshotMode::disabled(),
+        traces,
+    );
+    assert!(run.all_ok(), "sweep cell failed: {:?}", run.failed_cells());
+    (rows_to_json(&sweep.rows(&run).0), plan.unique())
+}
+
 /// A sweep driven through the thread pool must emit byte-identical rows
 /// no matter how many workers run it: `Pool::new(1)` is the fully serial
 /// path (no worker threads at all; the semantics `PROFESS_THREADS=1`
@@ -150,22 +183,8 @@ fn golden_multiprogram_report_identical_for_every_policy() {
 /// test does not mutate process-global environment state.
 #[test]
 fn parallel_sweep_matches_serial_byte_for_byte() {
-    let run = |threads: usize| {
-        let mut cfg = SystemConfig::scaled_quad();
-        cfg.seed = 11;
-        cfg.rsm.m_samp = 512;
-        let ws = workloads();
-        let subset = [ws[0], ws[7]];
-        profess_bench::rows_to_json(&profess_bench::normalized_sweep_on(
-            &profess_bench::Pool::new(threads),
-            &cfg,
-            PolicyKind::Profess,
-            2_000,
-            &subset,
-        ))
-    };
-    let serial = run(1);
-    let parallel = run(4);
+    let (serial, _) = planned_sweep(1, &mut TraceCollector::disabled());
+    let (parallel, _) = planned_sweep(4, &mut TraceCollector::disabled());
     assert!(
         serial.contains("\"id\""),
         "sweep produced no rows: {serial}"
@@ -179,35 +198,29 @@ fn parallel_sweep_matches_serial_byte_for_byte() {
 /// The trace artifact must be as deterministic as the reports it rides
 /// with: a traced sweep collected through `Pool::new(1)` and
 /// `Pool::new(4)` must produce byte-identical JSONL. This pins the
-/// collector to pool-map *result* order (input order) — recording in
-/// completion order would pass the report test above while shuffling
-/// runs in the artifact.
+/// collector to declaration order — recording in completion order would
+/// pass the report test above while shuffling runs in the artifact.
 ///
-/// `run_workload` builds systems with the environment's trace
-/// configuration, so this test sets `PROFESS_TRACE=1` for the whole
-/// process. That is safe alongside the untraced tests in this binary:
-/// tracing is observation-only (the fingerprint suite proves reports are
+/// Cell builders take the environment's trace configuration, so this
+/// test sets `PROFESS_TRACE=1` for the whole process. That is safe
+/// alongside the untraced tests in this binary: tracing is
+/// observation-only (the fingerprint suite proves reports are
 /// byte-identical with it on or off), so their assertions are unaffected.
 #[test]
 fn traced_sweep_is_thread_count_invariant() {
     std::env::set_var(profess::obs::TRACE_ENV, "1");
     let run = |threads: usize| {
-        let mut cfg = SystemConfig::scaled_quad();
-        cfg.seed = 11;
-        cfg.rsm.m_samp = 512;
-        let ws = workloads();
-        let subset = [ws[0], ws[7]];
-        let mut traces = profess_bench::harness::TraceCollector::forced("det");
-        profess_bench::normalized_sweep_traced(
-            &profess_bench::Pool::new(threads),
-            &cfg,
-            PolicyKind::Profess,
-            2_000,
-            &subset,
-            &mut traces,
+        let mut traces = TraceCollector::forced("det");
+        let (_, unique) = planned_sweep(threads, &mut traces);
+        // The plan traces every cell it ran: the solo references too.
+        assert_eq!(traces.runs(), unique as u64, "one trace per cell");
+        let jsonl = traces.jsonl().to_string();
+        assert_eq!(
+            jsonl.matches("{\"type\":\"run\",\"label\":\"w").count(),
+            4,
+            "2 workloads x (PoM + ProFess)"
         );
-        assert_eq!(traces.runs(), 4, "2 workloads x (PoM + ProFess)");
-        traces.jsonl().to_string()
+        jsonl
     };
     let serial = run(1);
     let parallel = run(4);

@@ -17,7 +17,7 @@ mod common;
 
 use common::{family_builder, FAMILY_MISSES};
 use profess::prelude::*;
-use profess_bench::{run_solo, workload_metrics};
+use profess_bench::{workload_metrics_cell, Cell, MultiCell};
 
 /// Spread the RSM-governed policy must stay within on `churn01`.
 const RSM_SPREAD_BOUND: f64 = 1.40;
@@ -36,10 +36,10 @@ fn churn_spread(policy: PolicyKind) -> (f64, f64) {
     let solo: Vec<f64> = churn
         .programs
         .iter()
-        .map(|&p| run_solo(&cfg, policy, p, FAMILY_MISSES).programs[0].ipc)
+        .map(|&p| Cell::solo(&cfg, policy, p, FAMILY_MISSES).run().programs[0].ipc)
         .collect();
     let multi = family_builder(churn, policy).run();
-    let m = workload_metrics(&churn.id, &multi, &solo);
+    let m = workload_metrics_cell(churn.id, &MultiCell::from_report(&multi), &solo);
     let max = m.slowdowns.iter().cloned().fold(0.0f64, f64::max);
     let min = m.slowdowns.iter().cloned().fold(f64::INFINITY, f64::min);
     (max / min, max)

@@ -125,7 +125,9 @@ fn injected_panic_surfaces_as_cell_outcome_with_history() {
     let sup = SuperviseConfig {
         retries: 1,
         timeout: None,
-        // Cell 1 fails once then recovers; cell 2 exhausts its budget.
+        // Fault indices are run-order positions: multiprogram cells run
+        // first. Cell 1 (w01 under MDM) fails once then recovers; cell 2
+        // (the first solo reference) exhausts its budget.
         faults: FaultPlan::parse("panic@1,panic@2*9").expect("plan"),
     };
     let run = normalized_sweep_supervised(
@@ -139,14 +141,20 @@ fn injected_panic_surfaces_as_cell_outcome_with_history() {
         &SnapshotMode::disabled(),
         &mut TraceCollector::disabled(),
     );
-    let recovered = &run.cells[1];
+    let cell = |label: &str| {
+        run.cells
+            .iter()
+            .find(|c| c.label == label)
+            .unwrap_or_else(|| panic!("no cell {label}"))
+    };
+    let recovered = cell("w01:MDM");
     assert_eq!(recovered.status, "ok");
     assert_eq!(recovered.attempts, 2);
     assert_eq!(recovered.history.len(), 1, "{:?}", recovered.history);
     assert!(recovered.history[0].contains("injected fault"));
     assert!(recovered.error.is_none());
 
-    let exhausted = &run.cells[2];
+    let exhausted = cell("solo:PoM:mcf");
     assert_eq!(exhausted.status, "exhausted");
     assert_eq!(exhausted.attempts, 2);
     assert_eq!(exhausted.history.len(), 2);

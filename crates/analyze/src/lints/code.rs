@@ -17,13 +17,6 @@ pub const PANIC: &str = "panic";
 pub const UNSAFE_CODE: &str = "unsafe_code";
 /// No tree/hash maps in the simulator's designated hot-path modules.
 pub const HOT_PATH_MAP: &str = "hot_path_map";
-/// No `Command::new` outside the shard supervisor; workers re-exec self.
-pub const PROCESS_SPAWN: &str = "process_spawn";
-
-/// The one module allowed to spawn processes: the shard supervisor's
-/// worker pool, which must re-exec the running binary
-/// (`std::env::current_exe()`) so workers share its exact build.
-const PROCESS_SPAWN_MODULE: &str = "crates/par/src/process.rs";
 
 /// Crates whose library code holds simulator state that must iterate
 /// deterministically (the report fingerprints replay their decisions).
@@ -45,7 +38,7 @@ const PANIC_EXEMPT_CRATES: &[&str] = &["check"];
 /// migration policies it dispatches into every served request. Keyed
 /// lookups here must use the dense flat structures in
 /// `crates/core/src/flat.rs`; a `BTreeMap`/`HashMap` is a measured
-/// regression, not a style nit. Cold paths (setup, snapshot plumbing)
+/// regression, not a style nit. Cold paths (setup)
 /// may suppress with `// profess: allow(hot_path_map): <why cold>`.
 pub(crate) fn is_hot_path_module(rel_path: &str) -> bool {
     rel_path == "crates/core/src/system.rs" || rel_path.starts_with("crates/core/src/policies/")
@@ -105,36 +98,6 @@ pub fn check(f: &SourceFile, s: &Scan, tests: &[(u32, u32)], out: &mut Vec<Diagn
                          on the simulated clock (`Cycle`), never wall time"
                     ),
                 ));
-            }
-            "Command"
-                if is_code
-                    && !in_test
-                    && next_is(s, i, ':')
-                    && s.tokens.get(i + 2).map(|t| &t.tok) == Some(&Tok::Punct(':'))
-                    && s.tokens.get(i + 3).map(|t| &t.tok)
-                        == Some(&Tok::Ident("new".to_string()))
-                    && s.tokens.get(i + 4).map(|t| &t.tok) == Some(&Tok::Punct('(')) =>
-            {
-                if f.rel_path != PROCESS_SPAWN_MODULE {
-                    out.push(Diagnostic::new(
-                        PROCESS_SPAWN,
-                        &f.rel_path,
-                        t.line,
-                        "`Command::new` outside the shard supervisor \
-                         (crates/par/src/process.rs): worker processes are spawned only by \
-                         `WorkerPool`; suppress a genuine toolchain probe with \
-                         `// profess: allow(process_spawn): <why>`",
-                    ));
-                } else if !paren_group_has_ident(s, i + 4, "current_exe") {
-                    out.push(Diagnostic::new(
-                        PROCESS_SPAWN,
-                        &f.rel_path,
-                        t.line,
-                        "`Command::new` in the shard supervisor must spawn \
-                         `std::env::current_exe()`: workers re-exec the running binary so \
-                         supervisor and workers share one build",
-                    ));
-                }
             }
             "spawn" if is_code && !THREAD_CRATES.contains(&crate_name) && !in_test => {
                 out.push(Diagnostic::new(
@@ -222,26 +185,6 @@ fn next_is(s: &Scan, i: usize, p: char) -> bool {
     s.tokens.get(i + 1).map(|t| &t.tok) == Some(&Tok::Punct(p))
 }
 
-/// Does the paren group opening at `tokens[open]` (which must be `(`)
-/// contain `ident` before its matching close?
-fn paren_group_has_ident(s: &Scan, open: usize, ident: &str) -> bool {
-    let mut depth = 0i64;
-    for t in &s.tokens[open..] {
-        match &t.tok {
-            Tok::Punct('(') => depth += 1,
-            Tok::Punct(')') => {
-                depth -= 1;
-                if depth == 0 {
-                    return false;
-                }
-            }
-            Tok::Ident(id) if id == ident => return true,
-            _ => {}
-        }
-    }
-    false
-}
-
 #[cfg(test)]
 mod tests {
     use crate::lints::check_source;
@@ -276,36 +219,6 @@ mod tests {
         assert!(check_source("crates/par/src/lib.rs", bad)
             .iter()
             .all(|d| d.lint != "thread_spawn"));
-    }
-
-    #[test]
-    fn process_spawn_scoped_to_the_shard_supervisor() {
-        let bad = "fn f() { std::process::Command::new(\"rustc\"); }\n";
-        let d = check_source("crates/bench/src/harness.rs", bad);
-        assert_eq!(d.len(), 1);
-        assert_eq!(d[0].lint, "process_spawn");
-        // The supervisor module may spawn — but only the running binary.
-        let reexec = "fn f() { Command::new(std::env::current_exe().unwrap()); }\n";
-        assert!(check_source("crates/par/src/process.rs", reexec)
-            .iter()
-            .all(|d| d.lint != "process_spawn"));
-        assert_eq!(
-            check_source("crates/par/src/process.rs", bad)
-                .iter()
-                .filter(|d| d.lint == "process_spawn")
-                .count(),
-            1,
-            "supervisor spawning anything but current_exe must fire"
-        );
-        // Tests and suppressed probes are exempt.
-        assert!(check_source("tests/x.rs", bad).is_empty());
-        let test_mod = "#[cfg(test)]\nmod tests {\n fn f() { Command::new(\"ls\"); }\n}\n";
-        assert!(check_source("crates/bench/src/harness.rs", test_mod).is_empty());
-        let allowed = "// profess: allow(process_spawn): toolchain probe\n\
-                       fn f() { std::process::Command::new(\"rustc\"); }\n";
-        assert!(check_source("crates/bench/src/harness.rs", allowed)
-            .iter()
-            .all(|d| d.suppressed));
     }
 
     #[test]
@@ -354,7 +267,7 @@ mod tests {
         assert_eq!(hits("crates/core/src/system.rs"), 2);
         assert_eq!(hits("crates/core/src/policies/pom.rs"), 2);
         // Cold modules of the same crate are fine.
-        assert_eq!(hits("crates/core/src/snapshot.rs"), 0);
+        assert_eq!(hits("crates/core/src/alloc.rs"), 0);
         assert_eq!(hits("crates/mem/src/channel.rs"), 0);
         // `HashMap` fires this lint *and* hash_collections.
         let hashy = "use std::collections::HashMap;\n";

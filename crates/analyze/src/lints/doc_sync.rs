@@ -17,7 +17,14 @@
 //!    judged when it has the shape `<prefix><digits>` and `<prefix>` is
 //!    one the declared ids actually use (`w01` → `w`, `churn01` →
 //!    `churn`), so family ids are checked without dragging every
-//!    `fig05`-style word into the lint.
+//!    `fig05`-style word into the lint;
+//! 5. `PROFESS_*` environment-variable tokens against the knobs the
+//!    code actually reads: a token counts as live when some library or
+//!    binary source file names it as a whole string literal
+//!    (`"PROFESS_THREADS"`). A knob whose feature was deleted leaves no
+//!    literal behind, so a doc still telling the reader to set it is
+//!    flagged. Tokens ending in `_` are prefix mentions
+//!    (`PROFESS_SURFACE_*`) and are not judged.
 //!
 //! Not suppressible: a doc that names a phantom command has no
 //! legitimate reason to keep doing so.
@@ -65,6 +72,7 @@ pub fn check(ws: &Workspace, out: &mut Vec<Diagnostic>) {
         .get(WORKLOAD_RS)
         .map(|f| declared_workloads(&f.text))
         .unwrap_or_default();
+    let knobs = env_knob_literals(ws);
     for doc in CHECKED_DOCS {
         let Some(f) = ws.get(doc) else { continue };
         check_doc(
@@ -76,6 +84,7 @@ pub fn check(ws: &Workspace, out: &mut Vec<Diagnostic>) {
             &workload_ids,
             out,
         );
+        check_env_knobs(&f.rel_path, &f.text, &knobs, out);
     }
     if let Some(f) = ws.get(LINT_TABLE_DOC) {
         check_lint_table(&f.rel_path, &f.text, out);
@@ -169,6 +178,73 @@ fn check_lint_table(path: &str, text: &str, out: &mut Vec<Diagnostic>) {
                     info.name
                 ),
             ));
+        }
+    }
+}
+
+/// The prefix every environment knob of the workspace shares.
+pub const ENV_PREFIX: &str = "PROFESS_";
+
+/// Every `"PROFESS_…"` string literal in library and binary sources
+/// (comment lines skipped), sorted and deduplicated.
+fn env_knob_literals(ws: &Workspace) -> Vec<String> {
+    let needle = format!("\"{ENV_PREFIX}");
+    let mut knobs: Vec<String> = Vec::new();
+    for f in &ws.files {
+        if !matches!(f.role, Role::Lib(_) | Role::Bin(_)) {
+            continue;
+        }
+        for line in f.text.lines() {
+            if line.trim_start().starts_with("//") {
+                continue;
+            }
+            let mut rest = line;
+            while let Some(pos) = rest.find(&needle) {
+                rest = &rest[pos + 1..];
+                let end = rest.find(|c: char| !is_knob_char(c)).unwrap_or(rest.len());
+                if rest[end..].starts_with('"') {
+                    knobs.push(rest[..end].to_string());
+                }
+                rest = &rest[end..];
+            }
+        }
+    }
+    knobs.sort();
+    knobs.dedup();
+    knobs
+}
+
+fn is_knob_char(c: char) -> bool {
+    c.is_ascii_uppercase() || c.is_ascii_digit() || c == '_'
+}
+
+/// Flags `PROFESS_*` tokens of a doc that no source names (check 5).
+fn check_env_knobs(path: &str, text: &str, knobs: &[String], out: &mut Vec<Diagnostic>) {
+    for (i, raw) in text.lines().enumerate() {
+        let mut seen: Vec<&str> = Vec::new();
+        let mut rest = raw;
+        while let Some(pos) = rest.find(ENV_PREFIX) {
+            let preceded = raw.len() - rest.len() + pos;
+            rest = &rest[pos..];
+            let end = rest.find(|c: char| !is_knob_char(c)).unwrap_or(rest.len());
+            let token = &rest[..end];
+            rest = &rest[end..];
+            let glued = raw[..preceded].ends_with(|c: char| c.is_ascii_alphanumeric());
+            if glued || token.ends_with('_') || seen.contains(&token) {
+                continue;
+            }
+            seen.push(token);
+            if knobs.binary_search_by(|k| k.as_str().cmp(token)).is_err() {
+                out.push(Diagnostic::new(
+                    DOC_SYNC,
+                    path,
+                    i as u32 + 1,
+                    format!(
+                        "environment variable `{token}` is named by no library or binary \
+                         source — the knob does not exist; drop it from the doc"
+                    ),
+                ));
+            }
         }
     }
 }
@@ -477,6 +553,29 @@ mod tests {
                 .any(|m| m.contains("`dead_item`") && m.contains("no row")),
             "{msgs:?}"
         );
+    }
+
+    #[test]
+    fn dead_env_knob_flagged() {
+        let mut files = base();
+        files.push((
+            "crates/par/src/lib.rs",
+            "pub const THREADS_ENV: &str = \"PROFESS_THREADS\";\n\
+             // \"PROFESS_SNAPSHOT\" in a comment keeps nothing alive\n",
+        ));
+        files.push((
+            "tests/x.rs",
+            "fn t() { std::env::var(\"PROFESS_SNAPSHOT\"); }\n",
+        ));
+        files.push((
+            "README.md",
+            "Set `PROFESS_THREADS=2`, or `PROFESS_SNAPSHOT=1` to snapshot;\n\
+             the `PROFESS_SURFACE_*` axes are prefix mentions.\n",
+        ));
+        let out = run(files);
+        assert_eq!(out.len(), 1, "{out:?}");
+        assert!(out[0].message.contains("`PROFESS_SNAPSHOT`"), "{out:?}");
+        assert_eq!((out[0].path.as_str(), out[0].line), ("README.md", 1));
     }
 
     #[test]

@@ -9,14 +9,12 @@
 //! * **hermeticity lints** ([`hermetic`]) — manifest/lockfile checks;
 //!   deliberately *not* suppressible (an allowed external dependency is
 //!   a contradiction in terms here);
-//! * **cross-file schema lints** ([`trace_schema`], [`snapshot_schema`],
-//!   [`surface_schema`], [`doc_sync`]) — consistency between the typed
-//!   `TraceEvent` enum and the places that name its kinds as strings,
-//!   between the snapshot payload constant and the DESIGN.md schema
-//!   table, between the surface point-field constant and its DESIGN.md
-//!   table, and between the top-level docs and the build
-//!   targets/workloads they tell the reader to run; not suppressible
-//!   either.
+//! * **cross-file schema lints** ([`trace_schema`], [`surface_schema`],
+//!   [`doc_sync`]) — consistency between the typed `TraceEvent` enum
+//!   and the places that name its kinds as strings, between the surface
+//!   point-field constant and its DESIGN.md table, and between the
+//!   top-level docs and the build targets, workloads and environment
+//!   knobs they tell the reader to use; not suppressible either.
 //!
 //! Adding a lint: write a `check` that pushes [`Diagnostic`]s, call it
 //! from [`run_all`], give it a unique name, document it in DESIGN.md §9,
@@ -29,7 +27,6 @@ pub mod determinism;
 pub mod doc_sync;
 pub mod hermetic;
 pub mod panic_reach;
-pub mod snapshot_schema;
 pub mod surface_schema;
 pub mod trace_schema;
 
@@ -68,11 +65,6 @@ pub const REGISTRY: &[LintInfo] = &[
     },
     LintInfo {
         name: code::THREAD_SPAWN,
-        level: Level::Error,
-        suppressible: true,
-    },
-    LintInfo {
-        name: code::PROCESS_SPAWN,
         level: Level::Error,
         suppressible: true,
     },
@@ -127,11 +119,6 @@ pub const REGISTRY: &[LintInfo] = &[
         suppressible: false,
     },
     LintInfo {
-        name: snapshot_schema::SNAPSHOT_SCHEMA,
-        level: Level::Error,
-        suppressible: false,
-    },
-    LintInfo {
         name: surface_schema::SURFACE_SCHEMA,
         level: Level::Error,
         suppressible: false,
@@ -148,7 +135,6 @@ pub const ALL_LINTS: &[&str] = &[
     code::HASH_COLLECTIONS,
     code::WALL_CLOCK,
     code::THREAD_SPAWN,
-    code::PROCESS_SPAWN,
     code::PANIC,
     code::UNSAFE_CODE,
     code::HOT_PATH_MAP,
@@ -159,7 +145,6 @@ pub const ALL_LINTS: &[&str] = &[
     hermetic::HERMETIC_DEPS,
     hermetic::HERMETIC_LOCK,
     trace_schema::TRACE_SCHEMA,
-    snapshot_schema::SNAPSHOT_SCHEMA,
     surface_schema::SURFACE_SCHEMA,
     doc_sync::DOC_SYNC,
 ];
@@ -217,7 +202,6 @@ pub fn run_all(ws: &Workspace) -> Suite {
     // Cross-file lints.
     hermetic::check(ws, &mut diags);
     trace_schema::check(ws, &mut diags);
-    snapshot_schema::check(ws, &mut diags);
     surface_schema::check(ws, &mut diags);
     doc_sync::check(ws, &mut diags);
     // Suppression inventory + stale_allow, after every producer ran.

@@ -4,8 +4,8 @@
 //! The syntactic `panic` lint asks "does library code contain
 //! `.unwrap()`?"; this lint asks the question that actually matters for
 //! the supervised-sweep machinery: *can the run loop get there?* Roots
-//! are the `System` run entry points (`run`, `try_run`,
-//! `try_run_preemptible` in `crates/core/src/system.rs`) and every
+//! are the `System` run entry points (`run`, `try_run` in
+//! `crates/core/src/system.rs`) and every
 //! policy's `on_access` — the per-request dispatch surface. The walk
 //! rides the overapproximating call graph, so a clean result really
 //! means no reachable panic.
@@ -37,7 +37,6 @@ pub const PANIC_REACHABILITY: &str = "panic_reachability";
 const ROOTS: &[(&str, &str)] = &[
     ("crates/core/src/system.rs", "run"),
     ("crates/core/src/system.rs", "try_run"),
-    ("crates/core/src/system.rs", "try_run_preemptible"),
 ];
 
 /// Every policy's per-access dispatch method.

@@ -194,29 +194,6 @@ fn binary_gates_fixture_trees() {
 }
 
 #[test]
-fn snapshot_schema_positive_and_negative() {
-    let snap = (
-        "crates/core/src/snapshot.rs",
-        "pub const PAYLOAD_FIELDS: &[&str] = &[\"clock\", \"policy\"];\n",
-    );
-    let design_ok = (
-        "DESIGN.md",
-        "### 11.2 Snapshot schema\n\n| `field` | contents |\n|---|---|\n\
-         | `clock` | clock |\n| `policy` | policy state |\n",
-    );
-    assert_eq!(active(&[snap, design_ok], "snapshot_schema"), 0);
-    // A documented field the emitter dropped is flagged; immune to
-    // inline allows, like the other cross-file lints.
-    let design_bad = (
-        "DESIGN.md",
-        "<!-- profess: allow(snapshot_schema): nope -->\n\
-         ### 11.2 Snapshot schema\n\n| `field` | contents |\n|---|---|\n\
-         | `clock` | clock |\n| `policy` | policy state |\n| `ghost` | gone |\n",
-    );
-    assert_eq!(active(&[snap, design_bad], "snapshot_schema"), 1);
-}
-
-#[test]
 fn surface_schema_positive_and_negative() {
     let surf = (
         "crates/bench/src/surface.rs",
@@ -246,7 +223,6 @@ fn lint_list_is_complete() {
         "hash_collections",
         "wall_clock",
         "thread_spawn",
-        "process_spawn",
         "panic",
         "unsafe_code",
         "hot_path_map",
@@ -257,13 +233,12 @@ fn lint_list_is_complete() {
         "hermetic_deps",
         "hermetic_lock",
         "trace_schema",
-        "snapshot_schema",
         "surface_schema",
         "doc_sync",
     ] {
         assert!(lints::ALL_LINTS.contains(&lint), "{lint} not registered");
     }
-    assert_eq!(lints::ALL_LINTS.len(), 17);
+    assert_eq!(lints::ALL_LINTS.len(), 15);
 }
 
 #[test]

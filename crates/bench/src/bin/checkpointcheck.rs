@@ -17,10 +17,10 @@
 //! so decay passes silently through CI.
 //!
 //! Journals are additionally checked for *conflicting duplicates*: two
-//! lines claiming the same cell key with different fingerprints (as a
-//! buggy shard merge could produce — see `profess-shard`). The tolerant
-//! loader would silently let the later line win; here both offending
-//! lines are reported and the check fails.
+//! lines claiming the same cell key with different fingerprints (as two
+//! runs that disagree about a cell, appending to one journal, would
+//! produce). The tolerant loader would silently let the later line win;
+//! here both offending lines are reported and the check fails.
 //!
 //! Exits 0 with per-file diagnostics on success; exits 1 (the shared
 //! [`profess_bench::exit`] taxonomy's validation failure) on the first

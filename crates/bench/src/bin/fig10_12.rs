@@ -11,9 +11,8 @@
 //!
 //! The sweep runs supervised: `PROFESS_CHECKPOINT` journals completed
 //! cells for kill-and-resume, `PROFESS_RETRIES` / `PROFESS_TASK_TIMEOUT_MS`
-//! bound recovery, `PROFESS_FAULT` injects deterministic failures, and
-//! `PROFESS_SNAPSHOT` / `PROFESS_SNAPSHOT_AT` preempt cells into
-//! journaled mid-run snapshots that retries warm-start from.
+//! bound recovery (a failed or timed-out cell is retried from cycle 0),
+//! and `PROFESS_FAULT` injects deterministic failures.
 //! Trailing workload-id arguments restrict the sweep to a subset.
 
 use profess_bench::{

@@ -16,11 +16,10 @@
 //! (comma-separated, strictly ascending), defaulting to the module's
 //! grid. The sweep runs supervised: `PROFESS_CHECKPOINT` journals
 //! completed cells for kill-and-resume, `PROFESS_RETRIES` /
-//! `PROFESS_TASK_TIMEOUT_MS` bound recovery, `PROFESS_FAULT` injects
-//! deterministic failures, and `PROFESS_SNAPSHOT` /
-//! `PROFESS_SNAPSHOT_AT` preempt cells into journaled mid-run
-//! snapshots. The emitted artifact is byte-identical across thread
-//! counts and across a kill-and-resume (verified by `surfacecheck`).
+//! `PROFESS_TASK_TIMEOUT_MS` bound recovery, and `PROFESS_FAULT`
+//! injects deterministic failures. The emitted artifact is
+//! byte-identical across thread counts and across a kill-and-resume
+//! (verified by `surfacecheck`).
 
 use profess_bench::harness::{BenchJson, TraceCollector};
 use profess_bench::surface::{
@@ -29,8 +28,8 @@ use profess_bench::surface::{
     INTENSITIES_ENV, POLICY_NAMES, RATIOS_ENV,
 };
 use profess_bench::{
-    init_trace_flag, journal_from_env, snapshot_mode_from_env, supervise_from_env, usage_error,
-    Pool, SWEEP_FAILURE_EXIT_CODE,
+    init_trace_flag, journal_from_env, supervise_from_env, usage_error, Pool,
+    SWEEP_FAILURE_EXIT_CODE,
 };
 use profess_core::system::PolicyKind;
 use profess_metrics::table::TextTable;
@@ -84,18 +83,9 @@ fn main() {
     let cfg = SystemConfig::scaled_quad();
     let sup = supervise_from_env();
     let journal = journal_from_env("surface");
-    let snap = snapshot_mode_from_env();
     let mut bench = BenchJson::start("surface");
     let mut traces = TraceCollector::from_env("surface");
-    let run = surface_sweep(
-        &Pool::from_env(),
-        &cfg,
-        &spec,
-        &sup,
-        &journal,
-        &snap,
-        &mut traces,
-    );
+    let run = surface_sweep(&Pool::from_env(), &cfg, &spec, &sup, &journal, &mut traces);
     bench.add_sim_ops(run.executed() as u64);
     bench.push_cells(&run.cells);
     bench.set_skipped_malformed(run.skipped_malformed as u64);
@@ -159,7 +149,8 @@ fn main() {
     }
 }
 
-/// `report_sweep_health`'s contract, for a surface run.
+/// Prints a surface run's resume and failure summary; returns whether
+/// every cell produced its point.
 fn report_sweep_health_surface(run: &profess_bench::surface::SurfaceRun) -> bool {
     if run.resumed > 0 {
         println!(

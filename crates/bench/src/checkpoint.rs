@@ -293,9 +293,8 @@ impl Journal {
     }
 }
 
-/// Renders one journal line (trailing newline included). Crate-visible
-/// so the shard merge (see [`crate::shard`]) can rewrite a merged
-/// journal in exactly the format [`Journal::record`] appends.
+/// Renders one journal line (trailing newline included), in exactly
+/// the format [`Journal::record`] appends.
 pub(crate) fn encode_line(key: &str, payload: &Json) -> String {
     let fp = fingerprint(&payload.to_string());
     let mut line = Json::obj([
@@ -309,7 +308,6 @@ pub(crate) fn encode_line(key: &str, payload: &Json) -> String {
 }
 
 /// Decodes one journal line, verifying the payload fingerprint.
-/// Crate-visible for the shard merge.
 pub(crate) fn decode_line(line: &str) -> Option<(String, Json)> {
     let j = Json::parse(line).ok()?;
     let Json::Str(key) = j.get("key")? else {
@@ -381,8 +379,8 @@ impl std::fmt::Display for KeyConflict {
 
 /// Strictly scans a journal for duplicate cell keys whose payload
 /// fingerprints differ (see [`KeyConflict`]). Benign duplicates —
-/// identical key *and* fingerprint, as when a re-dealt shard cell ran
-/// twice deterministically — are fine; a mismatch means two runs
+/// identical key *and* fingerprint, as when a cell ran twice
+/// deterministically — are fine; a mismatch means two runs
 /// disagreed about one cell and the journal cannot be trusted. Every
 /// line must decode (CI semantics, like [`entries_of_file`]).
 pub fn key_conflicts(path: &Path) -> Result<Vec<KeyConflict>, String> {
@@ -515,8 +513,8 @@ mod tests {
         let j = Journal::load(&path).expect("create");
         j.record("a", Json::UInt(1));
         j.record("b", Json::UInt(2));
-        // A benign duplicate: same key, same payload (re-dealt cell
-        // executed twice, deterministically).
+        // A benign duplicate: same key, same payload (a cell executed
+        // twice, deterministically).
         j.record("a", Json::UInt(1));
         drop(j);
         assert_eq!(key_conflicts(&path), Ok(vec![]));

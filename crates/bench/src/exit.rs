@@ -11,9 +11,8 @@
 //! | 1    | validation failed (regression, malformed artifact, diff) |
 //! | 2    | usage error (bad flags, unreadable config, bad env) |
 //! | 3    | sweep ended with terminally-failed cells |
-//! | 4    | a sharded sweep lost a worker past its re-deal budget |
 //!
-//! Injected faults are the one exception: a worker killed by
+//! Injected faults are the one exception: a process killed by
 //! `PROFESS_FAULT=exit@N` dies with
 //! [`profess_par::FAULT_EXIT_CODE`] (86), deliberately outside this
 //! range so a test harness can tell an injected death from a real
@@ -35,10 +34,6 @@ pub const USAGE: i32 = 2;
 /// terminally (retries exhausted, timed out, panicked).
 pub const SWEEP_FAILURE: i32 = 3;
 
-/// A sharded sweep lost a worker process and could not re-deal its
-/// cells within the retry budget.
-pub const WORKER_LOST: i32 = 4;
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -49,7 +44,6 @@ mod tests {
         assert_eq!(VALIDATION_FAIL, 1);
         assert_eq!(USAGE, 2);
         assert_eq!(SWEEP_FAILURE, 3);
-        assert_eq!(WORKER_LOST, 4);
         // The injected-fault code stays outside the taxonomy range.
         assert_eq!(profess_par::FAULT_EXIT_CODE, 86);
     }

@@ -201,7 +201,6 @@ impl RunMeta {
     /// [`MetaProbe::finish`] reads it.
     pub fn probe() -> MetaProbe {
         MetaProbe {
-            // profess: allow(process_spawn): toolchain probe for BENCH meta, not a worker spawn
             rustc: std::process::Command::new("rustc")
                 .arg("--version")
                 .stdout(std::process::Stdio::piped())

@@ -16,11 +16,9 @@ pub mod checkpoint;
 pub mod exit;
 pub mod harness;
 pub mod plan;
-pub mod shard;
 pub mod surface;
 
-use profess_core::system::{PolicyKind, RunOutcome, SystemBuilder, SystemReport};
-use profess_core::SystemSnapshot;
+use profess_core::system::{PolicyKind, SystemBuilder, SystemReport};
 use profess_metrics::{unfairness, weighted_speedup};
 use profess_trace::Workload;
 use profess_types::SystemConfig;
@@ -84,78 +82,6 @@ pub fn workload_or_usage(id: &str) -> Workload {
 /// panic backtrace.
 pub fn supervise_from_env() -> SuperviseConfig {
     SuperviseConfig::from_env().unwrap_or_else(|e| usage_error(&e))
-}
-
-/// Env var enabling snapshot-on-cancel in the sweep binaries: unset,
-/// empty, or `0` leaves preempted (timed-out) cells cold; `1` makes the
-/// watchdog preempt them into a journaled snapshot instead, so the
-/// retry resumes mid-run.
-pub const SNAPSHOT_ENV: &str = "PROFESS_SNAPSHOT";
-
-/// Env var deterministically preempting every cell's *first* attempt at
-/// the given clock (cycles): the cell snapshots itself, the snapshot is
-/// journaled, and the retry warm-starts from it. Used by CI to prove
-/// that a preempted-and-resumed sweep emits byte-identical rows.
-pub const SNAPSHOT_AT_ENV: &str = "PROFESS_SNAPSHOT_AT";
-
-/// How a supervised sweep uses mid-run snapshots (see
-/// [`profess_core::SystemSnapshot`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct SnapshotMode {
-    /// Preempt cancelled (watchdog-timed-out) cells into a snapshot
-    /// instead of a cancellation error, journaling the partial run.
-    pub on_cancel: bool,
-    /// Deterministically preempt each cell's first attempt at this
-    /// clock, journaling the snapshot; the retry resumes from it.
-    pub at: Option<u64>,
-}
-
-impl SnapshotMode {
-    /// Snapshots off: cells run cold, preemption is a plain failure.
-    pub fn disabled() -> SnapshotMode {
-        SnapshotMode::default()
-    }
-
-    /// Is any snapshot behaviour active?
-    pub fn is_enabled(&self) -> bool {
-        self.on_cancel || self.at.is_some()
-    }
-
-    /// Reads the mode from [`SNAPSHOT_ENV`] and [`SNAPSHOT_AT_ENV`].
-    /// Invalid values are an error, not a silent default: a typo'd
-    /// preemption cycle must not quietly run an uninterrupted sweep.
-    pub fn from_env() -> Result<SnapshotMode, String> {
-        let mut mode = SnapshotMode::disabled();
-        if let Ok(v) = std::env::var(SNAPSHOT_ENV) {
-            mode.on_cancel = match v.as_str() {
-                "" | "0" => false,
-                "1" => true,
-                _ => return Err(format!("{SNAPSHOT_ENV}={v}: expected 0 or 1")),
-            };
-        }
-        if let Ok(v) = std::env::var(SNAPSHOT_AT_ENV) {
-            if !v.is_empty() {
-                let at = v
-                    .trim()
-                    .parse::<u64>()
-                    .map_err(|_| format!("{SNAPSHOT_AT_ENV}={v}: expected a clock cycle count"))?;
-                mode.at = Some(at);
-            }
-        }
-        Ok(mode)
-    }
-}
-
-/// Reads the snapshot mode (`PROFESS_SNAPSHOT`, `PROFESS_SNAPSHOT_AT`)
-/// from the environment, reporting invalid values as usage errors.
-pub fn snapshot_mode_from_env() -> SnapshotMode {
-    SnapshotMode::from_env().unwrap_or_else(|e| usage_error(&e))
-}
-
-/// The journal key holding cell `key`'s mid-run snapshot. Namespaced so
-/// snapshot entries can never shadow a completed cell's result.
-pub fn snapshot_key(cell_key: &str) -> String {
-    format!("snapshot|{cell_key}")
 }
 
 /// Opens the checkpoint journal selected by `PROFESS_CHECKPOINT` for
@@ -388,9 +314,8 @@ impl NormalizedSweep {
     /// Declares the sweep's cells in its canonical *cell order*: solo
     /// references first (policy-major, PoM before `policy`, first-seen
     /// program order), then two multiprogram cells per workload, PoM
-    /// before `policy`. Run alone, this order is the plan's key order —
-    /// the shard supervisor's deal order and a merged shard journal's
-    /// line order.
+    /// before `policy`. Run alone, this order is the plan's key order
+    /// ([`CellPlan::keys`]).
     pub fn declare(
         plan: &mut CellPlan,
         cfg: &SystemConfig,
@@ -493,22 +418,6 @@ impl SweepRun {
 /// kept for the existing binaries' imports.
 pub const SWEEP_FAILURE_EXIT_CODE: i32 = exit::SWEEP_FAILURE;
 
-/// Prints a supervised sweep's resume and failure summary and returns
-/// whether every workload completed. The figure binaries exit with
-/// [`SWEEP_FAILURE_EXIT_CODE`] when this is false — after writing
-/// their artifacts, so the per-cell outcomes are still inspectable.
-pub fn report_sweep_health(run: &SweepRun) -> bool {
-    if run.resumed > 0 {
-        println!(
-            "checkpoint: {} cell(s) restored from journal, {} executed",
-            run.resumed,
-            run.executed()
-        );
-    }
-    plan::report_failures(&run.cells);
-    report_skipped(&run.skipped)
-}
-
 /// Prints the workloads a sweep assembled no row for, if any; returns
 /// whether every workload has its row.
 pub fn report_skipped(skipped: &[String]) -> bool {
@@ -518,48 +427,12 @@ pub fn report_skipped(skipped: &[String]) -> bool {
     skipped.is_empty()
 }
 
-/// Runs one cell under a cancel token, with the snapshot mode applied.
-/// Simulator errors (budget, deadlock, cancellation) become panics so
-/// the supervisor classifies them per cell instead of the process
-/// dying. A preempted run journals its snapshot under
-/// [`snapshot_key`] and then panics: the supervisor counts the attempt
-/// as failed and the retry finds the snapshot and warm-starts from it.
-pub(crate) fn run_cell(
-    b: SystemBuilder,
-    snap: &SnapshotMode,
-    journal: &Journal,
-    snap_key: &str,
-    ctx: &profess_par::TaskCtx<'_>,
-) -> SystemReport {
-    let mut b = b
-        .cancel_token(ctx.cancel.clone())
-        .snapshot_on_cancel(snap.on_cancel);
-    // A journaled snapshot (from a previously preempted attempt) wins
-    // over cold-start preemption; a snapshot that no longer decodes
-    // falls back to a cold run (the tolerant-journal philosophy: a bad
-    // entry costs a rerun, never a wrong result).
-    let restored = snap
-        .is_enabled()
-        .then(|| journal.lookup(snap_key))
-        .flatten()
-        .and_then(|p| SystemSnapshot::from_json(&p).ok());
-    match &restored {
-        Some(s) => b = b.restore(s),
-        None => {
-            if ctx.attempt == 1 {
-                if let Some(at) = snap.at {
-                    b = b.snapshot_at(at);
-                }
-            }
-        }
-    }
-    match b.try_run_preemptible() {
-        Ok(RunOutcome::Completed(r)) => r,
-        Ok(RunOutcome::Preempted(s)) => {
-            journal.record(snap_key, s.to_json());
-            // profess: allow(panic): hands the preempted cell back to the supervisor, whose retry warm-starts from the journaled snapshot
-            panic!("preempted into snapshot at cycle {}", s.clock())
-        }
+/// Runs one cell under a cancel token. Simulator errors (budget,
+/// deadlock, cancellation) become panics so the supervisor classifies
+/// them per cell, and retries them cold, instead of the process dying.
+pub(crate) fn run_cell(b: SystemBuilder, ctx: &profess_par::TaskCtx<'_>) -> SystemReport {
+    match b.cancel_token(ctx.cancel.clone()).try_run() {
+        Ok(r) => r,
         // profess: allow(panic): converts the typed SimError into a supervised per-cell failure
         Err(e) => panic!("{e}"),
     }
@@ -577,57 +450,14 @@ fn normalized_plan(
     (plan, sweep)
 }
 
-/// The cell-order journal keys of a normalized sweep — the shard units
-/// `profess-shard` deals to worker processes, and the line order of a
-/// merged shard journal.
-pub fn normalized_cell_keys(
-    cfg: &SystemConfig,
-    policy: PolicyKind,
-    target_misses: u64,
-    workloads: &[Workload],
-) -> Vec<String> {
-    normalized_plan(cfg, policy, target_misses, workloads)
-        .0
-        .keys()
-}
-
-/// Runs (or skips) **one** normalized-sweep cell, identified by its
-/// journal key — the shard worker's unit of work (see
-/// [`CellPlan::run_one`]).
-pub fn run_normalized_cell(
-    cfg: &SystemConfig,
-    policy: PolicyKind,
-    target_misses: u64,
-    workloads: &[Workload],
-    sup: &SuperviseConfig,
-    journal: &Journal,
-    key: &str,
-) -> Result<bool, String> {
-    normalized_plan(cfg, policy, target_misses, workloads)
-        .0
-        .run_one(key, sup, journal)
-}
-
-/// Reduces a single-slot supervised run to the worker contract:
-/// `Ok(true)` on success, `Err(description)` on terminal failure.
-pub(crate) fn conclude_single_cell(outs: Vec<Supervised<()>>) -> Result<bool, String> {
-    match outs.into_iter().next() {
-        Some(s) => match s.outcome {
-            TaskOutcome::Ok(()) => Ok(true),
-            o => Err(o.error().unwrap_or_else(|| "failed".to_string())),
-        },
-        None => Err("supervision returned no slot".to_string()),
-    }
-}
-
 /// A normalized sweep of `workloads` (`policy` over PoM) run as one
-/// [`CellPlan`]: see [`CellPlan::execute`] for journal replay, supervision,
-/// snapshots and trace recording, and [`NormalizedSweep::rows`] for the
-/// row assembly. Rows come only from workloads whose cells all
-/// succeeded; the rest are listed in [`SweepRun::skipped`]. Both fresh
-/// and restored cells flow through [`workload_metrics_cell`], so a
-/// resumed or warm-started sweep's rows are byte-identical to an
-/// uninterrupted run's, at any thread count.
+/// [`CellPlan`]: see [`CellPlan::execute`] for journal replay, supervision
+/// and trace recording, and [`NormalizedSweep::rows`] for the row
+/// assembly. Rows come only from workloads whose cells all succeeded;
+/// the rest are listed in [`SweepRun::skipped`]. Both fresh and restored
+/// cells flow through [`workload_metrics_cell`], so a resumed sweep's
+/// rows are byte-identical to an uninterrupted run's, at any thread
+/// count.
 #[allow(clippy::too_many_arguments)]
 pub fn normalized_sweep_supervised(
     pool: &Pool,
@@ -637,11 +467,10 @@ pub fn normalized_sweep_supervised(
     workloads: &[Workload],
     sup: &SuperviseConfig,
     journal: &Journal,
-    snap: &SnapshotMode,
     traces: &mut harness::TraceCollector,
 ) -> SweepRun {
     let (plan, sweep) = normalized_plan(cfg, policy, target_misses, workloads);
-    let run = plan.execute(pool, sup, journal, snap, traces);
+    let run = plan.execute(pool, sup, journal, traces);
     let (rows, skipped) = sweep.rows(&run);
     SweepRun {
         rows,
@@ -675,8 +504,7 @@ pub fn rows_to_json(rows: &[NormalizedRow]) -> String {
 
 /// Writes a sweep's rows as `ROWS_<name>.json` into
 /// [`harness::results_dir`] (the [`rows_to_json`] canonical rendering),
-/// so CI can byte-compare a preempted-and-resumed sweep's rows against
-/// an uninterrupted golden run with `snapshotcheck diff`. An I/O
+/// so CI can byte-compare a sweep's rows against a committed golden. An I/O
 /// failure is a warning — a missing artifact must not fail the sweep
 /// that produced real results.
 pub fn write_rows_artifact(name: &str, rows: &[NormalizedRow]) {

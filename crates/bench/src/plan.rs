@@ -12,8 +12,8 @@
 //! baseline per policy (eq. 1), so figures declare the same PoM and
 //! solo cells again and again; declaring a key twice yields two handles
 //! to one execution. [`CellPlan::execute`] runs each unique cell once on
-//! [`Pool::run_supervised`] — journal replay, snapshots, retries,
-//! timeouts and fault injection included — and hands results back by
+//! [`Pool::run_supervised`] — journal replay, cold retries, timeouts
+//! and fault injection included — and hands results back by
 //! declaration handle, so the rendered output depends on neither the
 //! thread count nor the declaration order of distinct cells.
 
@@ -26,10 +26,7 @@ use profess_types::SystemConfig;
 
 use crate::checkpoint::{self, config_fingerprint, Journal, MultiCell};
 use crate::harness::{BenchJson, TraceCollector};
-use crate::{
-    conclude_single_cell, journal_from_env, run_cell, snapshot_key, snapshot_mode_from_env,
-    supervise_from_env, Pool, SnapshotMode, SuperviseConfig,
-};
+use crate::{journal_from_env, run_cell, supervise_from_env, Pool, SuperviseConfig};
 
 /// What a cell simulates.
 #[derive(Debug, Clone, Copy)]
@@ -301,7 +298,7 @@ impl CellPlan {
     }
 
     /// The unique cells' keys, in first-declaration order.
-    pub(crate) fn keys(&self) -> Vec<String> {
+    pub fn keys(&self) -> Vec<String> {
         self.unique.iter().map(|(k, _)| k.clone()).collect()
     }
 
@@ -313,9 +310,8 @@ impl CellPlan {
     /// cells, each in declaration order — the long cells start early, so
     /// the tail of a parallel run stays short. Fault-plan indices in
     /// `sup` are positions in this run order. Each completed cell is
-    /// journaled the moment it finishes; with `snap` enabled a preempted
-    /// cell journals a mid-run snapshot and its retry warm-starts from
-    /// it (see [`run_cell`]).
+    /// journaled the moment it finishes; a failed attempt (panic,
+    /// simulator error, watchdog cancellation) is retried from cycle 0.
     ///
     /// The trace of every cell that ran is recorded into `traces` in
     /// declaration order, so the artifact is thread-count invariant.
@@ -324,7 +320,6 @@ impl CellPlan {
         pool: &Pool,
         sup: &SuperviseConfig,
         journal: &Journal,
-        snap: &SnapshotMode,
         traces: &mut TraceCollector,
     ) -> PlanRun {
         let mut outputs: Vec<Option<CellOutput>> = self
@@ -344,7 +339,7 @@ impl CellPlan {
 
         let outs = pool.run_supervised(&pending, sup, |ctx, &u| {
             let (key, cell) = &self.unique[u];
-            let report = run_cell(cell.builder(), snap, journal, &snapshot_key(key), &ctx);
+            let report = run_cell(cell.builder(), &ctx);
             let out = CellOutput::from_report(cell.subject, report);
             journal.record(key, out.to_json());
             out
@@ -388,44 +383,6 @@ impl CellPlan {
             skipped_malformed: journal.rejected(),
             sim_requests,
         }
-    }
-
-    /// Runs (or skips) the **one** cell with journal key `key` — the
-    /// shard worker's unit of work. A cell already in `journal` with a
-    /// decodable payload is skipped (`Ok(false)`); otherwise it runs
-    /// under single-slot supervision with `sup`'s retry budget and is
-    /// journaled on success (`Ok(true)`). A terminal failure is `Err`
-    /// with its description, as is a key this plan does not declare — a
-    /// worker must never silently accept a cell it cannot map back to
-    /// the sweep.
-    pub(crate) fn run_one(
-        &self,
-        key: &str,
-        sup: &SuperviseConfig,
-        journal: &Journal,
-    ) -> Result<bool, String> {
-        let Some(&u) = self.index.get(key) else {
-            return Err(format!("unknown cell key `{key}`"));
-        };
-        let cell = &self.unique[u].1;
-        if journal
-            .lookup(key)
-            .and_then(|p| CellOutput::decode(cell.subject, &p))
-            .is_some()
-        {
-            return Ok(false);
-        }
-        let outs = Pool::new(1).run_supervised(&[()], sup, |ctx, &()| {
-            let report = run_cell(
-                cell.builder(),
-                &SnapshotMode::disabled(),
-                journal,
-                &snapshot_key(key),
-                &ctx,
-            );
-            journal.record(key, CellOutput::from_report(cell.subject, report).to_json());
-        });
-        conclude_single_cell(outs)
     }
 }
 
@@ -548,15 +505,14 @@ pub(crate) fn report_failures(cells: &[CellRecord]) {
     }
 }
 
-/// A figure binary's run context: the pool, supervision, journal and
-/// snapshot settings from the environment, plus the `BENCH_<name>.json`
+/// A figure binary's run context: the pool, supervision and journal
+/// settings from the environment, plus the `BENCH_<name>.json`
 /// and `TRACE_<name>.jsonl` artifacts.
 #[derive(Debug)]
 pub struct Figure {
     pool: Pool,
     sup: SuperviseConfig,
     journal: Journal,
-    snap: SnapshotMode,
     bench: BenchJson,
     traces: TraceCollector,
 }
@@ -580,7 +536,6 @@ impl Figure {
             pool: Pool::from_env(),
             sup: supervise_from_env(),
             journal,
-            snap: snapshot_mode_from_env(),
             bench: BenchJson::start(name),
             traces: TraceCollector::from_env(name),
         }
@@ -588,13 +543,7 @@ impl Figure {
 
     /// Runs `plan` and records its cells and counters in the artifact.
     pub fn execute(&mut self, plan: &CellPlan) -> PlanRun {
-        let run = plan.execute(
-            &self.pool,
-            &self.sup,
-            &self.journal,
-            &self.snap,
-            &mut self.traces,
-        );
+        let run = plan.execute(&self.pool, &self.sup, &self.journal, &mut self.traces);
         self.bench.record_plan(&run);
         run
     }

@@ -11,8 +11,8 @@
 //! the max-slowdown spread RSM bounds — fairness under load becomes a
 //! surface axis without solo reference runs.
 //!
-//! Cells run under the same supervision, checkpoint-journal and
-//! mid-run-snapshot machinery as the figure sweeps
+//! Cells run under the same supervision and checkpoint-journal
+//! machinery as the figure sweeps
 //! ([`crate::normalized_sweep_supervised`]): completed cells journal
 //! under `surface|…` keys, a killed sweep resumes from the journal,
 //! and the emitted `SURFACE_<name>.json` is byte-identical whether the
@@ -31,7 +31,7 @@ use profess_types::SystemConfig;
 
 use crate::checkpoint::{self, Journal};
 use crate::harness::TraceCollector;
-use crate::{run_cell, snapshot_key, CellRecord, Pool, SnapshotMode, SuperviseConfig, Supervised};
+use crate::{run_cell, CellRecord, Pool, SuperviseConfig, Supervised};
 
 /// The fields of one surface point, in emission order.
 ///
@@ -296,7 +296,7 @@ pub fn surface_footprint_lines(div: u64) -> u64 {
 /// load generators (a multi-stream scan mixed with a mild Zipf hot
 /// spot) at the given read fraction and intensity, seeded exactly as
 /// [`SystemBuilder::spec_program`] seeds Table 9 programs so restarts
-/// and snapshot restores regenerate identical op streams.
+/// regenerate identical op streams.
 pub fn surface_cell_builder(
     cfg: &SystemConfig,
     policy: PolicyKind,
@@ -331,7 +331,7 @@ pub fn surface_cell_builder(
 }
 
 /// Runs a surface sweep: every grid cell of `spec`, supervised,
-/// journaled and snapshot-capable exactly like the figure sweeps.
+/// and journaled exactly like the figure sweeps.
 ///
 /// Cells already present in `journal` (same key, valid payload) are
 /// restored instead of re-run; the rest execute under
@@ -345,7 +345,6 @@ pub fn surface_sweep(
     spec: &SurfaceSpec,
     sup: &SuperviseConfig,
     journal: &Journal,
-    snap: &SnapshotMode,
     traces: &mut TraceCollector,
 ) -> SurfaceRun {
     let grid = surface_grid(cfg, spec);
@@ -368,7 +367,7 @@ pub fn surface_sweep(
     let outs = pool.run_supervised(&pending, sup, |ctx, &gi| {
         let (pk, rf, it, key, _) = &grid[gi];
         let b = surface_cell_builder(cfg, *pk, *rf, *it, spec.target_ops);
-        let report = run_cell(b, snap, journal, &snapshot_key(key), &ctx);
+        let report = run_cell(b, &ctx);
         let point = SurfacePoint::from_report(*pk, *rf, *it, &report);
         journal.record(key, point.to_json());
         (point, report)
@@ -428,9 +427,8 @@ pub fn surface_sweep(
 
 /// Enumerates the surface grid in sweep order (policy-major, then read
 /// fraction, then intensity): `(policy, read_frac, intensity, key,
-/// label)` per cell. This is the canonical cell order shared by the
-/// serial journal, the shard supervisor's deal order, and the merged
-/// journal's line order.
+/// label)` per cell. This is the canonical cell order of the artifact's
+/// points and of a serial run's journal.
 fn surface_grid(
     cfg: &SystemConfig,
     spec: &SurfaceSpec,
@@ -447,54 +445,6 @@ fn surface_grid(
         }
     }
     grid
-}
-
-/// The spec-order journal keys of a surface sweep's cells — the shard
-/// units `profess-shard` deals to worker processes, and the line order
-/// of a merged shard journal.
-pub fn surface_cell_keys(cfg: &SystemConfig, spec: &SurfaceSpec) -> Vec<String> {
-    surface_grid(cfg, spec)
-        .into_iter()
-        .map(|(_, _, _, key, _)| key)
-        .collect()
-}
-
-/// Runs (or skips) **one** surface cell, identified by its journal key
-/// — the shard worker's unit of work. Mirrors
-/// [`crate::run_normalized_cell`]: `Ok(false)` when the cell is already
-/// journaled with a decodable payload, `Ok(true)` after a fresh run is
-/// journaled, `Err` on terminal failure or an unknown key.
-pub fn run_surface_cell(
-    cfg: &SystemConfig,
-    spec: &SurfaceSpec,
-    sup: &SuperviseConfig,
-    journal: &Journal,
-    key: &str,
-) -> Result<bool, String> {
-    let grid = surface_grid(cfg, spec);
-    let Some((pk, rf, it, cell_key, _)) = grid.into_iter().find(|(_, _, _, k, _)| k == key) else {
-        return Err(format!("unknown cell key `{key}`"));
-    };
-    if journal
-        .lookup(&cell_key)
-        .and_then(|p| SurfacePoint::from_json(&p))
-        .is_some()
-    {
-        return Ok(false);
-    }
-    let outs = Pool::new(1).run_supervised(&[()], sup, |ctx, &()| {
-        let b = surface_cell_builder(cfg, pk, rf, it, spec.target_ops);
-        let report = run_cell(
-            b,
-            &SnapshotMode::disabled(),
-            journal,
-            &snapshot_key(&cell_key),
-            &ctx,
-        );
-        let point = SurfacePoint::from_report(pk, rf, it, &report);
-        journal.record(&cell_key, point.to_json());
-    });
-    crate::conclude_single_cell(outs)
 }
 
 /// Renders a surface artifact document: the spec's axes plus every
@@ -643,18 +593,8 @@ pub fn parse_policy(name: &str) -> Option<PolicyKind> {
         .map(|&(_, pk)| pk)
 }
 
-/// The CLI name of a policy — the inverse of [`parse_policy`], used by
-/// `profess-shard` to re-exec workers with round-trippable arguments.
-pub fn policy_cli_name(policy: PolicyKind) -> Option<&'static str> {
-    POLICY_NAMES
-        .iter()
-        .find(|&&(_, pk)| pk == policy)
-        .map(|&(n, _)| n)
-}
-
 /// Environment variable overriding the read-fraction axis
-/// (comma-separated, strictly ascending). Shared by the `surface` and
-/// `profess-shard` binaries — both must derive the same grid.
+/// (comma-separated, strictly ascending).
 pub const RATIOS_ENV: &str = "PROFESS_SURFACE_RATIOS";
 
 /// Environment variable overriding the intensity axis.

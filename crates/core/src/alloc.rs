@@ -3,13 +3,11 @@
 //! allocates frames of the private regions to their respective programs
 //! only).
 
-use profess_metrics::Json;
 use profess_rng::Rng;
 use profess_types::geometry::Geometry;
 use profess_types::ids::ProgramId;
 
 use crate::regions::RegionMap;
-use crate::snapshot::{fixed_u64s, get_arr, get_u64, u64_from};
 
 /// Frame allocator over the original physical address space.
 ///
@@ -129,92 +127,6 @@ impl FrameAllocator {
     pub fn region_map(&self) -> &RegionMap {
         &self.region_map
     }
-
-    /// Snapshot encoding. The free lists are stored *verbatim* — their
-    /// shuffle order is load-bearing for the uniform swap-and-pop pick —
-    /// alongside the RNG stream, the allocation count, and a sparse list
-    /// of block owners.
-    pub(crate) fn snapshot_json(&self) -> Json {
-        let free: Vec<Json> = self
-            .free_by_region
-            .iter()
-            .map(|list| Json::Arr(list.iter().map(|&f| Json::UInt(f)).collect()))
-            .collect();
-        let owners: Vec<Json> = self
-            .owner_by_block
-            .iter()
-            .enumerate()
-            .filter_map(|(b, o)| {
-                o.map(|p| Json::Arr(vec![Json::UInt(b as u64), Json::UInt(u64::from(p.0))]))
-            })
-            .collect();
-        let rng = self.rng.state();
-        Json::obj([
-            ("free_by_region", Json::Arr(free)),
-            ("owners", Json::Arr(owners)),
-            (
-                "rng",
-                Json::Arr(rng.iter().map(|&w| Json::UInt(w)).collect()),
-            ),
-            ("allocated", Json::UInt(self.allocated)),
-        ])
-    }
-
-    /// Restores a [`FrameAllocator::snapshot_json`] encoding into this
-    /// allocator (which must have been built for the same geometry and
-    /// region map).
-    pub(crate) fn restore_json(&mut self, j: &Json) -> Result<(), String> {
-        let free_raw = get_arr(j, "free_by_region")?;
-        if free_raw.len() != self.free_by_region.len() {
-            return Err(format!(
-                "region count mismatch: snapshot has {}, allocator has {}",
-                free_raw.len(),
-                self.free_by_region.len()
-            ));
-        }
-        let mut free = Vec::with_capacity(free_raw.len());
-        for list_raw in free_raw {
-            let list = list_raw
-                .as_arr()
-                .ok_or_else(|| "free list is not an array".to_string())?;
-            let mut out = Vec::with_capacity(list.len());
-            for f in list {
-                let frame = u64_from(f, "free frame")?;
-                if frame >= self.total_frames {
-                    return Err(format!("free frame {frame} out of range"));
-                }
-                out.push(frame);
-            }
-            free.push(out);
-        }
-        let mut owners = vec![None; self.owner_by_block.len()];
-        for pair in get_arr(j, "owners")? {
-            let pair = pair
-                .as_arr()
-                .ok_or_else(|| "owner entry is not an array".to_string())?;
-            if pair.len() != 2 {
-                return Err("owner entry must be [block, program]".to_string());
-            }
-            let block = u64_from(&pair[0], "owner block")?;
-            let slot = usize::try_from(block)
-                .ok()
-                .filter(|&b| b < owners.len())
-                .ok_or_else(|| format!("owner block {block} out of range"))?;
-            let program = u64_from(&pair[1], "owner program")?;
-            let program =
-                u8::try_from(program).map_err(|_| "owner program out of range".to_string())?;
-            owners[slot] = Some(ProgramId(program));
-        }
-        let rng_state = fixed_u64s::<4>(j, "rng")?;
-        if rng_state == [0; 4] {
-            return Err("RNG state is all-zero".to_string());
-        }
-        self.free_by_region = free;
-        self.owner_by_block = owners;
-        self.rng = Rng::from_state(rng_state);
-        self.allocated = get_u64(j, "allocated")?;
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -293,57 +205,6 @@ mod tests {
             (frac - 1.0 / 9.0).abs() < 0.04,
             "M1-original fraction {frac}"
         );
-    }
-
-    #[test]
-    fn snapshot_round_trip_resumes_identically() {
-        let g = geom();
-        let mut a = FrameAllocator::new(&g, RegionMap::all_shared(128), 11);
-        for _ in 0..100 {
-            a.allocate(ProgramId(0), &g).expect("space");
-        }
-        let j = a.snapshot_json();
-        let mut b = FrameAllocator::new(&g, RegionMap::all_shared(128), 999);
-        b.restore_json(&j).expect("restores");
-        assert_eq!(b.snapshot_json().to_string(), j.to_string());
-        // Both allocators continue with the identical random sequence.
-        for _ in 0..100 {
-            let fa = a.allocate(ProgramId(1), &g);
-            let fb = b.allocate(ProgramId(1), &g);
-            assert_eq!(fa, fb);
-        }
-        assert_eq!(a.allocated_frames(), b.allocated_frames());
-    }
-
-    #[test]
-    fn restore_rejects_malformed_state() {
-        let g = geom();
-        let mut a = FrameAllocator::new(&g, RegionMap::all_shared(128), 1);
-        // A snapshot with fewer regions than the allocator was built for.
-        let mut truncated = a.snapshot_json();
-        if let Json::Obj(pairs) = &mut truncated {
-            for (k, v) in pairs.iter_mut() {
-                if k == "free_by_region" {
-                    if let Json::Arr(xs) = v {
-                        xs.truncate(64);
-                    }
-                }
-            }
-        }
-        assert!(a.restore_json(&truncated).is_err(), "region count");
-        let missing = a
-            .snapshot_json()
-            .to_string()
-            .replace("\"allocated\":", "\"allocated_nope\":");
-        let j = profess_metrics::Json::parse(&missing).expect("valid JSON");
-        assert!(a.restore_json(&j).is_err(), "missing field");
-        // All-zero RNG state must be rejected, not panic.
-        let zeroed = a.snapshot_json().to_string();
-        let state = a.snapshot_json();
-        let rng_txt = state.get("rng").map(|r| r.to_string()).expect("rng field");
-        let zeroed = zeroed.replace(&format!("\"rng\":{rng_txt}"), "\"rng\":[0,0,0,0]");
-        let j = profess_metrics::Json::parse(&zeroed).expect("valid JSON");
-        assert!(a.restore_json(&j).is_err());
     }
 
     #[test]

@@ -96,56 +96,16 @@ pub enum SimError {
         /// Simulated cycle at which cancellation was observed.
         cycle: u64,
     },
-    /// A snapshot was written by an incompatible format version.
-    SnapshotVersion {
-        /// Version found in the snapshot.
-        found: u64,
-        /// Version this build understands.
-        expected: u64,
-    },
-    /// A snapshot failed structural or fingerprint validation.
-    SnapshotCorrupt {
-        /// What was wrong.
-        detail: String,
-    },
-    /// A snapshot came from a differently configured system.
-    SnapshotConfigMismatch {
-        /// Config fingerprint recorded in the snapshot.
-        found: u64,
-        /// Config fingerprint of the restoring system.
-        expected: u64,
-    },
-    /// The configured run cannot be snapshotted (e.g. region sampling
-    /// holds unbounded diagnostic state excluded from the format).
-    SnapshotUnsupported {
-        /// Which feature blocks snapshotting.
-        what: String,
-    },
-    /// A sharded sweep lost a cell's work past recovery: every re-deal
-    /// of the cell to a worker process ended with the worker dead.
-    WorkerLost {
-        /// The checkpoint cell key that could not be completed.
-        cell: String,
-        /// Times the cell was dealt before the run was declared lost.
-        deals: u32,
-    },
 }
 
 impl SimError {
     /// Stable machine-readable label (`budget_exceeded`, `deadlock`,
-    /// `cancelled`, `snapshot_version`, `snapshot_corrupt`,
-    /// `snapshot_config_mismatch`, `snapshot_unsupported`,
-    /// `worker_lost`).
+    /// `cancelled`).
     pub fn label(&self) -> &'static str {
         match self {
             SimError::BudgetExceeded { .. } => "budget_exceeded",
             SimError::Deadlock { .. } => "deadlock",
             SimError::Cancelled { .. } => "cancelled",
-            SimError::SnapshotVersion { .. } => "snapshot_version",
-            SimError::SnapshotCorrupt { .. } => "snapshot_corrupt",
-            SimError::SnapshotConfigMismatch { .. } => "snapshot_config_mismatch",
-            SimError::SnapshotUnsupported { .. } => "snapshot_unsupported",
-            SimError::WorkerLost { .. } => "worker_lost",
         }
     }
 }
@@ -175,25 +135,6 @@ impl std::fmt::Display for SimError {
             SimError::Cancelled { cycle } => {
                 write!(f, "simulation cancelled at cycle {cycle}")
             }
-            SimError::SnapshotVersion { found, expected } => write!(
-                f,
-                "snapshot version {found} is not supported (expected {expected})"
-            ),
-            SimError::SnapshotCorrupt { detail } => {
-                write!(f, "snapshot corrupt: {detail}")
-            }
-            SimError::SnapshotConfigMismatch { found, expected } => write!(
-                f,
-                "snapshot config fingerprint {found:#018x} does not match \
-                 this system's {expected:#018x}"
-            ),
-            SimError::SnapshotUnsupported { what } => {
-                write!(f, "snapshot unsupported: {what}")
-            }
-            SimError::WorkerLost { cell, deals } => write!(
-                f,
-                "cell `{cell}` lost after {deals} deal(s) to worker processes"
-            ),
         }
     }
 }
@@ -250,44 +191,6 @@ mod tests {
         let c = SimError::Cancelled { cycle: 5 };
         assert_eq!(c.to_string(), "simulation cancelled at cycle 5");
         assert_eq!(c.label(), "cancelled");
-        let v = SimError::SnapshotVersion {
-            found: 9,
-            expected: 1,
-        };
-        assert_eq!(
-            v.to_string(),
-            "snapshot version 9 is not supported (expected 1)"
-        );
-        assert_eq!(v.label(), "snapshot_version");
-        let k = SimError::SnapshotCorrupt {
-            detail: "fingerprint mismatch".to_string(),
-        };
-        assert_eq!(k.to_string(), "snapshot corrupt: fingerprint mismatch");
-        assert_eq!(k.label(), "snapshot_corrupt");
-        let m = SimError::SnapshotConfigMismatch {
-            found: 0x1,
-            expected: 0x2,
-        };
-        assert_eq!(
-            m.to_string(),
-            "snapshot config fingerprint 0x0000000000000001 does not match \
-             this system's 0x0000000000000002"
-        );
-        assert_eq!(m.label(), "snapshot_config_mismatch");
-        let u = SimError::SnapshotUnsupported {
-            what: "region sampling".to_string(),
-        };
-        assert_eq!(u.to_string(), "snapshot unsupported: region sampling");
-        assert_eq!(u.label(), "snapshot_unsupported");
-        let w = SimError::WorkerLost {
-            cell: "multi|mdm|w01|abc".to_string(),
-            deals: 2,
-        };
-        assert_eq!(
-            w.to_string(),
-            "cell `multi|mdm|w01|abc` lost after 2 deal(s) to worker processes"
-        );
-        assert_eq!(w.label(), "worker_lost");
     }
 
     #[test]

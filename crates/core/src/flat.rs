@@ -21,17 +21,16 @@
 //! `BTreeMap`s that previously backed PoM's epoch counts, SiLC-FM's
 //! aging counters and the system's pending-ST waiters. Their iteration
 //! orders are ascending dense index, which equals the ascending key
-//! order of the maps they replaced — snapshot payloads are byte-for-byte
-//! identical across the change.
+//! order of the maps they replaced — every order-dependent decision,
+//! and so every report byte, is identical across the change.
 
 use std::collections::VecDeque;
 
 /// Sentinel index for "no node / no entry" in the slab structures below.
 const NONE32: u32 = u32::MAX;
 
-/// Hard cap on dense indices accepted from untrusted (snapshot) input.
-/// Real geometries stay far below this; the cap only bounds allocation
-/// on hostile payloads.
+/// Hard cap on dense indices. Real geometries stay far below this; the
+/// cap only bounds allocation on an out-of-range key.
 const MAX_DENSE_INDEX: u64 = 1 << 32;
 
 /// Frame value that marks an unmapped page.
@@ -111,18 +110,6 @@ impl FlatPageTable {
     /// Whether no page is mapped.
     pub fn is_empty(&self) -> bool {
         self.mapped == 0
-    }
-
-    /// Raw backing vector (`u64::MAX` = unmapped), for snapshotting.
-    pub(crate) fn raw_frames(&self) -> &[u64] {
-        &self.frames
-    }
-
-    /// Rebuilds a table from a [`FlatPageTable::raw_frames`] vector; the
-    /// mapped count is recomputed so a snapshot cannot desynchronize it.
-    pub(crate) fn from_raw_frames(frames: Vec<u64>) -> Self {
-        let mapped = frames.iter().filter(|&&f| f != UNMAPPED).count();
-        FlatPageTable { frames, mapped }
     }
 }
 
@@ -209,26 +196,6 @@ impl<T> TokenRing<T> {
     pub fn window(&self) -> usize {
         self.slots.len()
     }
-
-    /// Raw window parts `(slots, base)` for snapshotting; `next` is
-    /// `base + slots.len()` by construction.
-    pub(crate) fn raw_parts(&self) -> (&VecDeque<Option<T>>, u64) {
-        (&self.slots, self.base)
-    }
-
-    /// Rebuilds a ring from [`TokenRing::raw_parts`]; `next` and the
-    /// live count are recomputed so a snapshot cannot desynchronize
-    /// them.
-    pub(crate) fn from_raw_parts(slots: VecDeque<Option<T>>, base: u64) -> Self {
-        let live = slots.iter().filter(|s| s.is_some()).count();
-        let next = base + slots.len() as u64;
-        TokenRing {
-            slots,
-            base,
-            next,
-            live,
-        }
-    }
 }
 
 /// An epoch-stamped dense counter table: `(major, minor)` key →
@@ -242,8 +209,8 @@ impl<T> TokenRing<T> {
 /// O(1) regardless of how many counters were touched.
 ///
 /// An entry is *present* when its stamp matches the current epoch —
-/// independent of its value, so a present zero-count entry (expressible
-/// in snapshots) round-trips exactly like it did through the `BTreeMap`.
+/// independent of its value, so a zero-weight bump leaves a present
+/// zero-count entry, exactly as it did in the `BTreeMap`.
 #[derive(Debug, Clone)]
 pub struct EpochTable {
     stride: u64,
@@ -314,20 +281,6 @@ impl EpochTable {
         let new = old + w;
         self.counts[i] = new;
         (old, new)
-    }
-
-    /// Sets an entry to an absolute value, marking it present. Returns
-    /// `false` (without writing) when the key is out of range — the
-    /// snapshot-restore caller turns that into a typed error.
-    #[must_use]
-    pub fn set(&mut self, major: u64, minor: u8, value: u64) -> bool {
-        let Some(i) = self.try_index(major, minor) else {
-            return false;
-        };
-        let i = self.slot(i);
-        self.stamps[i] = self.epoch;
-        self.counts[i] = value;
-        true
     }
 
     /// Drops every entry in O(1) by advancing the epoch stamp.
@@ -573,19 +526,7 @@ impl<T> SlabQueues<T> {
         self.non_empty -= 1;
     }
 
-    /// Replaces queue `q`'s contents (used by snapshot restore; an empty
-    /// `items` leaves the queue absent, like removing a map entry).
-    pub fn set_queue(&mut self, q: usize, items: impl IntoIterator<Item = T>) {
-        let mut scratch = Vec::new();
-        self.drain_into(q, &mut scratch);
-        drop(scratch);
-        for v in items {
-            self.push(q, v);
-        }
-    }
-
-    /// Indices of non-empty queues in ascending order (snapshot path;
-    /// O(queues)).
+    /// Indices of non-empty queues in ascending order (O(queues)).
     pub fn non_empty_queues(&self) -> impl Iterator<Item = usize> + '_ {
         self.heads
             .iter()
@@ -707,16 +648,6 @@ mod tests {
     }
 
     #[test]
-    fn epoch_table_set_preserves_present_zero() {
-        let mut t = EpochTable::new(17);
-        assert!(t.set(3, 2, 0));
-        assert_eq!(t.iter().collect::<Vec<_>>(), vec![(3, 2, 0)]);
-        // Out-of-range minor or a huge major are refused, not grown.
-        assert!(!t.set(0, 17, 1));
-        assert!(!t.set(u64::MAX / 2, 0, 1));
-    }
-
-    #[test]
     fn epoch_table_epoch_wrap_sweeps_stamps() {
         let mut t = EpochTable::new(1);
         t.bump(4, 0, 1);
@@ -794,16 +725,5 @@ mod tests {
         out.clear();
         s.drain_into(0, &mut out);
         assert_eq!(out, (100..107).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn slab_set_queue_replaces_and_empty_means_absent() {
-        let mut s: SlabQueues<u8> = SlabQueues::new(3);
-        s.push(2, 1);
-        s.set_queue(2, [7, 8]);
-        assert_eq!(s.queue_iter(2).copied().collect::<Vec<_>>(), vec![7, 8]);
-        s.set_queue(2, []);
-        assert!(!s.has(2));
-        assert_eq!(s.non_empty(), 0);
     }
 }

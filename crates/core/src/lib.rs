@@ -34,7 +34,6 @@ pub mod flat;
 pub mod org;
 pub mod policies;
 pub mod regions;
-pub mod snapshot;
 pub mod stc;
 pub mod system;
 
@@ -43,6 +42,5 @@ pub use flat::{FlatPageTable, TokenRing};
 pub use org::{StEntry, SwapTable};
 pub use policies::{Decision, MigrationPolicy};
 pub use regions::{RegionClass, RegionMap};
-pub use snapshot::{SystemSnapshot, SNAPSHOT_VERSION};
 pub use stc::Stc;
-pub use system::{PolicyKind, RunOutcome, SystemBuilder, SystemReport};
+pub use system::{PolicyKind, SystemBuilder, SystemReport};

@@ -37,16 +37,6 @@ impl MigrationPolicy for CameoPolicy {
             Decision::Stay
         }
     }
-
-    fn snapshot_state(&self) -> Option<profess_metrics::Json> {
-        // Stateless: the empty object marks "snapshottable, nothing to
-        // save" (as opposed to the default `None` = unsupported).
-        Some(profess_metrics::Json::obj([]))
-    }
-
-    fn restore_state(&mut self, _state: &profess_metrics::Json) -> Result<(), String> {
-        Ok(())
-    }
 }
 
 #[cfg(test)]

@@ -4,13 +4,11 @@
 //! update overhead of its swaps is ignored, both per the paper's §4.1
 //! (optimistic MemPod configuration).
 
-use profess_metrics::Json;
 use profess_types::config::MemPodParams;
 use profess_types::ids::SlotIdx;
 use profess_types::{Cycle, GroupId};
 
 use super::{AccessCtx, Decision, MigrationPolicy};
-use crate::snapshot::{get_arr, get_u64, u64_from};
 
 #[derive(Debug, Clone, Copy)]
 struct MeaSlot {
@@ -108,61 +106,6 @@ impl MigrationPolicy for MemPodPolicy {
 
     fn next_poll(&self) -> Option<Cycle> {
         Some(self.next_poll)
-    }
-
-    fn snapshot_state(&self) -> Option<Json> {
-        // MEA slot order is load-bearing: `poll` sorts stably by count,
-        // so ties resolve in first-touch order. Encode verbatim.
-        let mea: Vec<Json> = self
-            .mea
-            .iter()
-            .map(|s| {
-                Json::Arr(vec![
-                    Json::UInt(s.group.0),
-                    Json::UInt(u64::from(s.orig_slot.0)),
-                    Json::UInt(u64::from(s.count)),
-                ])
-            })
-            .collect();
-        Some(Json::obj([
-            ("next_poll", Json::UInt(self.next_poll.0)),
-            ("mea", Json::Arr(mea)),
-            ("intervals", Json::UInt(self.intervals)),
-        ]))
-    }
-
-    // profess: allow(panic_reachability): restore validates section lengths against the config fingerprint before indexing
-    fn restore_state(&mut self, state: &Json) -> Result<(), String> {
-        let mut mea = Vec::with_capacity(self.params.counters);
-        for triple in get_arr(state, "mea")? {
-            let triple = triple
-                .as_arr()
-                .ok_or_else(|| "MEA entry is not an array".to_string())?;
-            if triple.len() != 3 {
-                return Err("MEA entry must be [group, slot, count]".to_string());
-            }
-            let group = GroupId(u64_from(&triple[0], "MEA group")?);
-            let slot = u64_from(&triple[1], "MEA slot")?;
-            let slot = u8::try_from(slot).map_err(|_| "MEA slot out of range".to_string())?;
-            let count = u64_from(&triple[2], "MEA count")?;
-            let count = u32::try_from(count).map_err(|_| "MEA count out of range".to_string())?;
-            mea.push(MeaSlot {
-                group,
-                orig_slot: SlotIdx(slot),
-                count,
-            });
-        }
-        if mea.len() > self.params.counters {
-            return Err(format!(
-                "snapshot tracks {} MEA slots but the policy has {} counters",
-                mea.len(),
-                self.params.counters
-            ));
-        }
-        self.next_poll = Cycle(get_u64(state, "next_poll")?);
-        self.mea = mea;
-        self.intervals = get_u64(state, "intervals")?;
-        Ok(())
     }
 }
 

@@ -181,18 +181,17 @@ pub trait MigrationPolicy {
     /// nothing.
     fn drain_trace(&mut self, _now: Cycle, _out: &mut Vec<TraceEvent>) {}
 
-    /// Serializes the policy's mutable decision state for a mid-run
-    /// snapshot. `None` means the policy (as configured) cannot be
-    /// snapshotted and the run must report
-    /// [`SnapshotUnsupported`](crate::errors::SimError::SnapshotUnsupported).
-    /// Observability-only state (trace buffers) is excluded by contract:
-    /// snapshot bytes must be identical with tracing on or off.
+    /// Vestigial: the simulator no longer snapshots runs and never calls
+    /// this. It remains only because the repository benchmark's policy
+    /// wrapper (`perfbench/driver.rs`) still forwards it, and that file
+    /// changes only together with the benchmark. No built-in policy
+    /// overrides it.
     fn snapshot_state(&self) -> Option<profess_metrics::Json> {
         None
     }
 
-    /// Restores state captured by [`MigrationPolicy::snapshot_state`]
-    /// into a freshly built policy of the same configuration.
+    /// Vestigial counterpart of [`MigrationPolicy::snapshot_state`],
+    /// kept for the same reason; never called by the simulator.
     fn restore_state(&mut self, _state: &profess_metrics::Json) -> Result<(), String> {
         Err("policy does not support snapshot restore".to_string())
     }
@@ -240,5 +239,38 @@ pub(crate) mod testutil {
             trace: None,
         };
         policy.on_access(&mut ctx)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use profess_types::SystemConfig;
+
+    /// The simulator no longer snapshots runs, so no built-in policy may
+    /// override the vestigial snapshot hooks: each keeps the inert
+    /// defaults until the hooks are dropped from the trait.
+    #[test]
+    fn builtin_policies_keep_the_inert_snapshot_hooks() {
+        let cfg = SystemConfig::scaled_single();
+        let pom = || Box::new(pom::PomPolicy::new(cfg.pom.clone(), 4));
+        let mut policies: Vec<Box<dyn MigrationPolicy>> = vec![
+            Box::new(static_::StaticPolicy::new()),
+            Box::new(cameo::CameoPolicy::new(cfg.cameo)),
+            pom(),
+            Box::new(mempod::MemPodPolicy::new(cfg.mempod, 1.0)),
+            Box::new(mdm::MdmPolicy::new(cfg.mdm, 1)),
+            Box::new(profess::ProfessPolicy::new(cfg.mdm, cfg.rsm, 1)),
+            Box::new(silcfm::SilcFmPolicy::new(Default::default())),
+            Box::new(rsm_guided::RsmGuided::new(pom(), cfg.rsm, 1, "RSM+PoM")),
+        ];
+        for p in &mut policies {
+            assert!(p.snapshot_state().is_none(), "{}", p.name());
+            assert!(
+                p.restore_state(&profess_metrics::Json::Null).is_err(),
+                "{}",
+                p.name()
+            );
+        }
     }
 }

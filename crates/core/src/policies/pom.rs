@@ -18,14 +18,12 @@
 //! rather than a sampled subset — which favours the baseline and thus
 //! makes the reproduction's MDM-vs-PoM comparisons conservative.
 
-use profess_metrics::Json;
 use profess_types::config::PomParams;
 use profess_types::ids::{ProgramId, SlotIdx};
 
 use super::{AccessCtx, Decision, MigrationPolicy};
 use crate::flat::EpochTable;
 use crate::regions::RegionClass;
-use crate::snapshot::{get_arr, get_u64, u64_from};
 
 /// The PoM policy.
 #[derive(Debug)]
@@ -161,76 +159,6 @@ impl MigrationPolicy for PomPolicy {
         if self.served_in_epoch >= self.params.epoch_requests {
             self.end_epoch();
         }
-    }
-
-    fn snapshot_state(&self) -> Option<Json> {
-        let counts: Vec<Json> = self
-            .epoch_counts
-            .iter()
-            .map(|(g, s, c)| {
-                Json::Arr(vec![Json::UInt(g), Json::UInt(u64::from(s)), Json::UInt(c)])
-            })
-            .collect();
-        let u64s = |xs: &[u64]| Json::Arr(xs.iter().map(|&x| Json::UInt(x)).collect());
-        Some(Json::obj([
-            (
-                "threshold",
-                match self.threshold {
-                    Some(t) => Json::UInt(u64::from(t)),
-                    None => Json::Null,
-                },
-            ),
-            ("served_in_epoch", Json::UInt(self.served_in_epoch)),
-            ("epoch_counts", Json::Arr(counts)),
-            ("hyp_swaps", u64s(&self.hyp_swaps)),
-            ("hyp_hits", u64s(&self.hyp_hits)),
-            ("epochs", Json::UInt(self.epochs)),
-            ("promotions", Json::UInt(self.promotions)),
-        ]))
-    }
-
-    // profess: allow(panic_reachability): restore validates section lengths against the config fingerprint before indexing
-    fn restore_state(&mut self, state: &Json) -> Result<(), String> {
-        let n = self.params.thresholds.len();
-        self.threshold = match state.get("threshold") {
-            Some(Json::Null) => None,
-            Some(Json::UInt(t)) => {
-                Some(u32::try_from(*t).map_err(|_| "threshold out of range".to_string())?)
-            }
-            _ => return Err("missing or invalid \"threshold\"".to_string()),
-        };
-        let mut counts = EpochTable::new(SlotIdx::MAX as u64);
-        for triple in get_arr(state, "epoch_counts")? {
-            let triple = triple
-                .as_arr()
-                .ok_or_else(|| "epoch count entry is not an array".to_string())?;
-            if triple.len() != 3 {
-                return Err("epoch count entry must be [group, slot, count]".to_string());
-            }
-            let g = u64_from(&triple[0], "epoch count group")?;
-            let s = u64_from(&triple[1], "epoch count slot")?;
-            let s = u8::try_from(s).map_err(|_| "epoch count slot out of range".to_string())?;
-            let c = u64_from(&triple[2], "epoch count value")?;
-            if !counts.set(g, s, c) {
-                return Err("epoch count key out of range".to_string());
-            }
-        }
-        let decode_vec = |key: &str| -> Result<Vec<u64>, String> {
-            let raw = get_arr(state, key)?;
-            if raw.len() != n {
-                return Err(format!(
-                    "field \"{key}\" must have one entry per candidate threshold"
-                ));
-            }
-            raw.iter().map(|x| u64_from(x, key)).collect()
-        };
-        self.hyp_swaps = decode_vec("hyp_swaps")?;
-        self.hyp_hits = decode_vec("hyp_hits")?;
-        self.epoch_counts = counts;
-        self.served_in_epoch = get_u64(state, "served_in_epoch")?;
-        self.epochs = get_u64(state, "epochs")?;
-        self.promotions = get_u64(state, "promotions")?;
-        Ok(())
     }
 }
 

@@ -21,13 +21,10 @@ use profess_types::config::{MdmParams, RsmParams};
 use profess_types::ids::ProgramId;
 use profess_types::Cycle;
 
-use profess_metrics::Json;
-
 use super::mdm::MdmCore;
 use super::rsm::{EpochReport, Rsm};
 use super::{AccessCtx, Decision, DecisionTrace, EvictRecord, MigrationPolicy, PolicyDiagnostics};
 use crate::regions::RegionClass;
-use crate::snapshot::fixed_u64s;
 
 /// Which Table 7 rule resolved a cross-program decision (diagnostics).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -257,49 +254,6 @@ impl MigrationPolicy for ProfessPolicy {
                 sf_b: e.sf_b,
             });
         }
-    }
-
-    fn snapshot_state(&self) -> Option<Json> {
-        // `tracing` and `pending_epochs` are observability state rebuilt
-        // by the restoring system; `case3_enabled` is configuration
-        // (covered by the config fingerprint).
-        let rsm = self.rsm.snapshot_json()?;
-        Some(Json::obj([
-            ("mdm", self.mdm.snapshot_json()),
-            ("rsm", rsm),
-            (
-                "stats",
-                Json::Arr(vec![
-                    Json::UInt(self.stats.help_m2),
-                    Json::UInt(self.stats.protect_m1),
-                    Json::UInt(self.stats.protect_m1_product),
-                    Json::UInt(self.stats.default_mdm),
-                ]),
-            ),
-        ]))
-    }
-
-    // profess: allow(panic_reachability): restore validates section lengths against the config fingerprint before indexing
-    fn restore_state(&mut self, state: &Json) -> Result<(), String> {
-        self.mdm.restore_json(
-            state
-                .get("mdm")
-                .ok_or_else(|| "missing \"mdm\"".to_string())?,
-        )?;
-        self.rsm.restore_json(
-            state
-                .get("rsm")
-                .ok_or_else(|| "missing \"rsm\"".to_string())?,
-        )?;
-        let [help_m2, protect_m1, protect_m1_product, default_mdm] =
-            fixed_u64s::<4>(state, "stats")?;
-        self.stats = GuidanceStats {
-            help_m2,
-            protect_m1,
-            protect_m1_product,
-            default_mdm,
-        };
-        Ok(())
     }
 }
 

@@ -14,14 +14,12 @@
 //! the Table 2 catalogue and is exercised by tests and the `ablation`
 //! tooling rather than by a paper figure.
 
-use profess_metrics::Json;
 use profess_types::ids::ProgramId;
 use profess_types::{Cycle, GroupId};
 
 use super::{AccessCtx, Decision, MigrationPolicy};
 use crate::flat::FlatCounters;
 use crate::regions::RegionClass;
-use crate::snapshot::{get_arr, get_u64, u64_from};
 
 /// Parameters of the SILC-FM-style policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -128,42 +126,6 @@ impl MigrationPolicy for SilcFmPolicy {
 
     fn poll(&mut self, _now: Cycle) -> Vec<(GroupId, profess_types::SlotIdx)> {
         Vec::new()
-    }
-
-    fn snapshot_state(&self) -> Option<Json> {
-        let aging: Vec<Json> = self
-            .aging
-            .iter()
-            .map(|(g, c)| Json::Arr(vec![Json::UInt(g), Json::UInt(u64::from(c))]))
-            .collect();
-        Some(Json::obj([
-            ("aging", Json::Arr(aging)),
-            ("served_since_age", Json::UInt(self.served_since_age)),
-            ("locks_held", Json::UInt(self.locks_held)),
-        ]))
-    }
-
-    // profess: allow(panic_reachability): restore validates section lengths against the config fingerprint before indexing
-    fn restore_state(&mut self, state: &Json) -> Result<(), String> {
-        let mut aging = FlatCounters::new();
-        for pair in get_arr(state, "aging")? {
-            let pair = pair
-                .as_arr()
-                .ok_or_else(|| "aging entry is not an array".to_string())?;
-            if pair.len() != 2 {
-                return Err("aging entry must be [group, count]".to_string());
-            }
-            let g = u64_from(&pair[0], "aging group")?;
-            let c = u64_from(&pair[1], "aging count")?;
-            let c = u32::try_from(c).map_err(|_| "aging count out of range".to_string())?;
-            if !aging.set(g, c) {
-                return Err("aging group out of range".to_string());
-            }
-        }
-        self.aging = aging;
-        self.served_since_age = get_u64(state, "served_since_age")?;
-        self.locks_held = get_u64(state, "locks_held")?;
-        Ok(())
     }
 }
 

@@ -23,14 +23,6 @@ impl MigrationPolicy for StaticPolicy {
     fn on_access(&mut self, _ctx: &mut AccessCtx<'_>) -> Decision {
         Decision::Stay
     }
-
-    fn snapshot_state(&self) -> Option<profess_metrics::Json> {
-        Some(profess_metrics::Json::obj([]))
-    }
-
-    fn restore_state(&mut self, _state: &profess_metrics::Json) -> Result<(), String> {
-        Ok(())
-    }
 }
 
 #[cfg(test)]

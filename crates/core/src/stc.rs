@@ -7,11 +7,8 @@
 //! stresses that this accurate state is kept *only* for STC-resident
 //! entries, which is exactly what this structure does.
 
-use profess_metrics::Json;
 use profess_types::ids::SlotIdx;
 use profess_types::GroupId;
-
-use crate::snapshot::{get_arr, get_bool, get_u64, u64_from};
 
 /// Per-entry cached state.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -84,7 +81,7 @@ impl StcStats {
 /// both vectors; the first `lens[set]` slots are live, in the exact
 /// storage order of the per-set `Vec` this replaced (appends push at
 /// `len`, eviction moves the last live slot into the hole), which keeps
-/// snapshots byte-identical.
+/// every LRU decision identical.
 #[derive(Debug)]
 pub struct Stc {
     /// Group key of each way slot (`EMPTY_KEY` when unoccupied).
@@ -235,125 +232,6 @@ impl Stc {
     pub fn stats(&self) -> &StcStats {
         &self.stats
     }
-
-    /// Snapshot encoding: every set's entries in storage order (order is
-    /// load-bearing — `swap_remove` eviction makes it part of the LRU
-    /// replay), the LRU tick, and the statistics.
-    pub(crate) fn snapshot_json(&self) -> Json {
-        let sets: Vec<Json> = self
-            .lens
-            .iter()
-            .enumerate()
-            .map(|(set, &len)| {
-                let base = set * self.ways;
-                Json::Arr(
-                    self.entries[base..base + len as usize]
-                        .iter()
-                        .map(|e| {
-                            Json::obj([
-                                ("group", Json::UInt(e.group.0)),
-                                (
-                                    "ac",
-                                    Json::Arr(
-                                        e.ac.iter().map(|&c| Json::UInt(u64::from(c))).collect(),
-                                    ),
-                                ),
-                                (
-                                    "q_i",
-                                    Json::Arr(
-                                        e.q_i.iter().map(|&q| Json::UInt(u64::from(q))).collect(),
-                                    ),
-                                ),
-                                ("dirty", Json::Bool(e.dirty)),
-                                ("stamp", Json::UInt(e.stamp)),
-                            ])
-                        })
-                        .collect(),
-                )
-            })
-            .collect();
-        Json::obj([
-            ("sets", Json::Arr(sets)),
-            ("tick", Json::UInt(self.tick)),
-            (
-                "stats",
-                Json::obj([
-                    ("lookups", Json::UInt(self.stats.lookups)),
-                    ("hits", Json::UInt(self.stats.hits)),
-                    ("evictions", Json::UInt(self.stats.evictions)),
-                    ("dirty_evictions", Json::UInt(self.stats.dirty_evictions)),
-                ]),
-            ),
-        ])
-    }
-
-    /// Restores a [`Stc::snapshot_json`] encoding into this cache (which
-    /// must have been built with the same geometry).
-    pub(crate) fn restore_json(&mut self, j: &Json) -> Result<(), String> {
-        let sets_raw = get_arr(j, "sets")?;
-        if sets_raw.len() != self.lens.len() {
-            return Err(format!(
-                "STC set count mismatch: snapshot has {}, cache has {}",
-                sets_raw.len(),
-                self.lens.len()
-            ));
-        }
-        let total = self.lens.len() * self.ways;
-        let mut keys = vec![EMPTY_KEY; total];
-        let mut flat: Vec<CachedEntry> = (0..total)
-            .map(|_| CachedEntry::new(GroupId(EMPTY_KEY), [0; SlotIdx::MAX]))
-            .collect();
-        let mut lens = vec![0u32; self.lens.len()];
-        for (set, set_raw) in sets_raw.iter().enumerate() {
-            let entries = set_raw
-                .as_arr()
-                .ok_or_else(|| "STC set is not an array".to_string())?;
-            if entries.len() > self.ways {
-                return Err(format!(
-                    "STC set overflows its {} ways with {} entries",
-                    self.ways,
-                    entries.len()
-                ));
-            }
-            let base = set * self.ways;
-            for (slot, ej) in entries.iter().enumerate() {
-                let ac_raw = get_arr(ej, "ac")?;
-                let q_raw = get_arr(ej, "q_i")?;
-                if ac_raw.len() != SlotIdx::MAX || q_raw.len() != SlotIdx::MAX {
-                    return Err("STC entry arrays must have SlotIdx::MAX elements".to_string());
-                }
-                let mut e = CachedEntry::new(GroupId(get_u64(ej, "group")?), [0; SlotIdx::MAX]);
-                for (i, c) in ac_raw.iter().enumerate() {
-                    let v = u64_from(c, "access counter")?;
-                    e.ac[i] =
-                        u32::try_from(v).map_err(|_| "access counter out of range".to_string())?;
-                }
-                for (i, q) in q_raw.iter().enumerate() {
-                    let v = u64_from(q, "q_i value")?;
-                    e.q_i[i] = u8::try_from(v).map_err(|_| "q_i value out of range".to_string())?;
-                }
-                e.dirty = get_bool(ej, "dirty")?;
-                e.stamp = get_u64(ej, "stamp")?;
-                keys[base + slot] = e.group.0;
-                flat[base + slot] = e;
-                lens[set] += 1;
-            }
-        }
-        self.keys = keys;
-        self.entries = flat;
-        self.lens = lens;
-        self.tick = get_u64(j, "tick")?;
-        let stats = j
-            .get("stats")
-            .ok_or_else(|| "missing \"stats\"".to_string())?;
-        self.stats = StcStats {
-            lookups: get_u64(stats, "lookups")?,
-            hits: get_u64(stats, "hits")?,
-            evictions: get_u64(stats, "evictions")?,
-            dirty_evictions: get_u64(stats, "dirty_evictions")?,
-        };
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -415,43 +293,6 @@ mod tests {
         let stc = Stc::new(64, 8);
         assert_eq!(stc.set_of(GroupId(6)), stc.set_of(GroupId(7)));
         assert_ne!(stc.set_of(GroupId(6)), stc.set_of(GroupId(8)));
-    }
-
-    #[test]
-    fn snapshot_round_trip_preserves_lru_behaviour() {
-        // Set index is (group >> 1) & mask: groups 0, 4, and 8 all land
-        // in set 0 of a two-set cache.
-        let mut stc = Stc::new(4, 2);
-        stc.insert(GroupId(0), [0; SlotIdx::MAX]);
-        stc.insert(GroupId(4), [1; SlotIdx::MAX]);
-        stc.lookup(GroupId(0));
-        stc.peek(GroupId(0)).expect("cached").dirty = true;
-        stc.peek(GroupId(0))
-            .expect("cached")
-            .bump(SlotIdx(1), 5, 63);
-        let j = stc.snapshot_json();
-        let mut back = Stc::new(4, 2);
-        back.restore_json(&j).expect("restores");
-        assert_eq!(back.snapshot_json().to_string(), j.to_string());
-        // The restored cache evicts the same LRU victim as the original.
-        let v1 = stc.insert(GroupId(8), [0; SlotIdx::MAX]).map(|v| v.group);
-        let v2 = back.insert(GroupId(8), [0; SlotIdx::MAX]).map(|v| v.group);
-        assert_eq!(v1, v2);
-        assert_eq!(v1, Some(GroupId(4)));
-    }
-
-    #[test]
-    fn restore_rejects_mismatched_shapes() {
-        let mut small = Stc::new(4, 2);
-        let other = Stc::new(8, 2).snapshot_json();
-        assert!(small.restore_json(&other).is_err(), "set count mismatch");
-        // A set holding more entries than the cache has ways: donor has
-        // the same two sets but four ways, with three entries in set 0.
-        let mut donor = Stc::new(8, 4);
-        donor.insert(GroupId(0), [0; SlotIdx::MAX]);
-        donor.insert(GroupId(4), [0; SlotIdx::MAX]);
-        donor.insert(GroupId(8), [0; SlotIdx::MAX]);
-        assert!(small.restore_json(&donor.snapshot_json()).is_err());
     }
 
     #[test]

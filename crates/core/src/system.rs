@@ -22,11 +22,8 @@
 //! (fresh instance, new seed) to keep contending until the slowest
 //! finishes.
 
-use std::collections::VecDeque;
-
 use profess_cpu::{CoreRequest, CoreSim, MemOpKind, OpSource};
 use profess_mem::{AccessKind, ChannelSim, PhysRequest, Served};
-use profess_metrics::Json;
 use profess_obs::{Log2Histogram, TraceConfig, TraceEvent, TraceLog, Tracer};
 use profess_trace::SpecProgram;
 use profess_types::config::SystemConfig;
@@ -46,9 +43,6 @@ use crate::policies::profess::ProfessPolicy;
 use crate::policies::static_::StaticPolicy;
 use crate::policies::{AccessCtx, Decision, EvictRecord, MigrationPolicy};
 use crate::regions::RegionMap;
-use crate::snapshot::{
-    self, f64_from_json, f64_to_json, get_arr, get_bool, get_u64, u64_from, SystemSnapshot,
-};
 use crate::stc::{CachedEntry, Stc};
 
 /// Which migration policy to run.
@@ -234,37 +228,6 @@ impl SystemReport {
     }
 }
 
-/// Result of a preemptible run ([`SystemBuilder::try_run_preemptible`]).
-#[derive(Debug, Clone)]
-pub enum RunOutcome {
-    /// The run finished (or hit the safety cycle cap): the report.
-    Completed(SystemReport),
-    /// The run was preempted at a clock boundary
-    /// ([`SystemBuilder::snapshot_at`] reached, or cancellation with
-    /// [`SystemBuilder::snapshot_on_cancel`]): the state needed to
-    /// resume via [`SystemBuilder::restore`].
-    Preempted(Box<SystemSnapshot>),
-}
-
-impl RunOutcome {
-    /// The report, if the run completed.
-    // profess: allow(dead_item): kept for API symmetry with `snapshot()`, the accessor the snapshot tests use
-    pub fn completed(self) -> Option<SystemReport> {
-        match self {
-            RunOutcome::Completed(r) => Some(r),
-            RunOutcome::Preempted(_) => None,
-        }
-    }
-
-    /// The snapshot, if the run was preempted.
-    pub fn preempted(self) -> Option<Box<SystemSnapshot>> {
-        match self {
-            RunOutcome::Completed(_) => None,
-            RunOutcome::Preempted(s) => Some(s),
-        }
-    }
-}
-
 /// Builder for a simulation run.
 pub struct SystemBuilder {
     cfg: SystemConfig,
@@ -275,9 +238,6 @@ pub struct SystemBuilder {
     sample_regions: bool,
     trace: TraceConfig,
     limits: RunLimits,
-    snapshot_at: Option<u64>,
-    snapshot_on_cancel: bool,
-    restore_from: Option<SystemSnapshot>,
 }
 
 impl std::fmt::Debug for SystemBuilder {
@@ -301,9 +261,6 @@ impl SystemBuilder {
             sample_regions: false,
             trace: TraceConfig::from_env(),
             limits: RunLimits::default(),
-            snapshot_at: None,
-            snapshot_on_cancel: false,
-            restore_from: None,
         }
     }
 
@@ -357,36 +314,6 @@ impl SystemBuilder {
     /// completion.
     pub fn cancel_token(mut self, t: profess_par::CancelToken) -> Self {
         self.limits.cancel = Some(t);
-        self
-    }
-
-    /// Preempts the run into a snapshot at the first clock boundary at or
-    /// after `cycle`: [`SystemBuilder::try_run_preemptible`] returns
-    /// [`RunOutcome::Preempted`] instead of running to completion.
-    /// Restoring that snapshot (into a builder configured identically but
-    /// *without* `snapshot_at`) and running to the end yields a report
-    /// byte-identical to the uninterrupted run.
-    pub fn snapshot_at(mut self, cycle: u64) -> Self {
-        self.snapshot_at = Some(cycle);
-        self
-    }
-
-    /// Makes cooperative cancellation ([`SystemBuilder::cancel_token`])
-    /// preempt the run into a snapshot instead of failing with
-    /// [`SimError::Cancelled`] — so a supervisor's watchdog can convert a
-    /// timed-out cell into a resumable checkpoint.
-    pub fn snapshot_on_cancel(mut self, on: bool) -> Self {
-        self.snapshot_on_cancel = on;
-        self
-    }
-
-    /// Resumes from a mid-run snapshot instead of starting at cycle zero.
-    /// The builder must be configured identically to the run that
-    /// produced the snapshot (same config, policy, programs, cycle cap);
-    /// a mismatch fails with [`SimError::SnapshotConfigMismatch`] and a
-    /// damaged snapshot with [`SimError::SnapshotCorrupt`].
-    pub fn restore(mut self, snap: &SystemSnapshot) -> Self {
-        self.restore_from = Some(snap.clone());
         self
     }
 
@@ -455,36 +382,12 @@ impl SystemBuilder {
     /// Panics if no programs were added or more programs than cores
     /// (configuration bugs, not runtime failures).
     pub fn try_run(self) -> Result<SystemReport, SimError> {
-        match self.try_run_preemptible()? {
-            RunOutcome::Completed(r) => Ok(r),
-            RunOutcome::Preempted(_) => Err(SimError::SnapshotUnsupported {
-                what: "run was preempted into a snapshot; use try_run_preemptible to receive it"
-                    .to_string(),
-            }),
-        }
-    }
-
-    /// Runs the simulation until completion *or* preemption
-    /// ([`SystemBuilder::snapshot_at`] /
-    /// [`SystemBuilder::snapshot_on_cancel`]), restoring first if a
-    /// snapshot was installed via [`SystemBuilder::restore`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if no programs were added or more programs than cores
-    /// (configuration bugs, not runtime failures).
-    pub fn try_run_preemptible(mut self) -> Result<RunOutcome, SimError> {
         assert!(!self.programs.is_empty(), "no programs configured");
         assert!(
             self.programs.len() <= self.cfg.cpu.num_cores,
             "more programs than cores"
         );
-        let restore_from = self.restore_from.take();
-        let mut sys = System::new(self);
-        if let Some(snap) = restore_from {
-            sys.restore_from_snapshot(&snap)?;
-        }
-        sys.run()
+        System::new(self).run()
     }
 }
 
@@ -505,122 +408,12 @@ enum Origin {
     StWrite,
 }
 
-fn origin_to_json(o: &Origin) -> Json {
-    match *o {
-        Origin::Data {
-            core,
-            seq,
-            is_write,
-            group,
-            orig_slot,
-            from_m1,
-        } => Json::obj([
-            ("t", Json::UInt(0)),
-            ("core", Json::UInt(core as u64)),
-            ("seq", Json::UInt(seq)),
-            ("w", Json::Bool(is_write)),
-            ("g", Json::UInt(group.0)),
-            ("s", Json::UInt(u64::from(orig_slot.0))),
-            ("m1", Json::Bool(from_m1)),
-        ]),
-        Origin::StFetch { channel, group } => Json::obj([
-            ("t", Json::UInt(1)),
-            ("ch", Json::UInt(channel as u64)),
-            ("g", Json::UInt(group.0)),
-        ]),
-        Origin::StWrite => Json::obj([("t", Json::UInt(2))]),
-    }
-}
-
-/// Decodes an in-flight request origin, bounds-checking every index a
-/// later step would use to index into system state (hostile payloads with
-/// a valid fingerprint must yield errors, never panics).
-fn origin_from_json(
-    j: &Json,
-    n_cores: usize,
-    n_channels: usize,
-    num_groups: u64,
-) -> Result<Origin, String> {
-    let group = |j: &Json| -> Result<GroupId, String> {
-        let g = get_u64(j, "g")?;
-        if g >= num_groups {
-            return Err(format!("origin group {g} out of range"));
-        }
-        Ok(GroupId(g))
-    };
-    match get_u64(j, "t")? {
-        0 => {
-            let core = get_u64(j, "core")? as usize;
-            if core >= n_cores {
-                return Err(format!("origin core {core} out of range"));
-            }
-            let slot = get_u64(j, "s")?;
-            if slot >= SlotIdx::MAX as u64 {
-                return Err(format!("origin slot {slot} out of range"));
-            }
-            Ok(Origin::Data {
-                core,
-                seq: get_u64(j, "seq")?,
-                is_write: get_bool(j, "w")?,
-                group: group(j)?,
-                orig_slot: SlotIdx(slot as u8),
-                from_m1: get_bool(j, "m1")?,
-            })
-        }
-        1 => {
-            let channel = get_u64(j, "ch")? as usize;
-            if channel >= n_channels {
-                return Err(format!("origin channel {channel} out of range"));
-            }
-            Ok(Origin::StFetch {
-                channel,
-                group: group(j)?,
-            })
-        }
-        2 => Ok(Origin::StWrite),
-        t => Err(format!("unknown origin tag {t}")),
-    }
-}
-
 #[derive(Debug, Clone, Copy)]
 struct PendingData {
     core: usize,
     seq: u64,
     is_write: bool,
     orig_slot: SlotIdx,
-}
-
-fn pending_to_json(p: &PendingData) -> Json {
-    Json::Arr(vec![
-        Json::UInt(p.core as u64),
-        Json::UInt(p.seq),
-        Json::Bool(p.is_write),
-        Json::UInt(u64::from(p.orig_slot.0)),
-    ])
-}
-
-// profess: allow(panic_reachability): restore validates section lengths against the config fingerprint before indexing
-fn pending_from_json(j: &Json, n_cores: usize) -> Result<PendingData, String> {
-    let xs = j
-        .as_arr()
-        .filter(|xs| xs.len() == 4)
-        .ok_or_else(|| "pending entry: expected a 4-tuple".to_string())?;
-    let core = u64_from(&xs[0], "pending core")? as usize;
-    if core >= n_cores {
-        return Err(format!("pending core {core} out of range"));
-    }
-    let slot = u64_from(&xs[3], "pending slot")?;
-    if slot >= SlotIdx::MAX as u64 {
-        return Err(format!("pending slot {slot} out of range"));
-    }
-    Ok(PendingData {
-        core,
-        seq: u64_from(&xs[1], "pending seq")?,
-        is_write: xs[2]
-            .as_bool()
-            .ok_or_else(|| "pending is_write: expected a boolean".to_string())?,
-        orig_slot: SlotIdx(slot as u8),
-    })
 }
 
 #[derive(Debug, Default, Clone, Copy)]
@@ -718,11 +511,6 @@ struct System {
     truncated: bool,
     limits: RunLimits,
     retired: u64,
-    // Preemption: fingerprint of the builder configuration (pins
-    // snapshots to compatible systems) and the snapshot triggers.
-    config_fp: u64,
-    snapshot_at: Option<u64>,
-    snapshot_on_cancel: bool,
     // Event tracing (off by default). `tracing` mirrors
     // `tracer.is_on()` so hot paths branch on a plain bool; `trace_rsm`
     // is a shadow RSM run only when tracing under a policy without its
@@ -833,21 +621,6 @@ impl System {
             Vec::new()
         };
         let n_ch = channels.len();
-        // Everything that shapes simulation behaviour and is not part of
-        // the snapshotted state itself: the full config (seeds, timing,
-        // policy parameters), the policy, the program list, and the
-        // safety cap. Two builders agreeing on this fingerprint produce
-        // interchangeable systems for snapshot purposes.
-        let config_fp = snapshot::fnv64(
-            format!(
-                "{:?}|policy={}|programs={:?}|max_cycles={}",
-                cfg,
-                policy.name(),
-                names,
-                b.max_cycles
-            )
-            .as_bytes(),
-        );
         System {
             policy_kind: b.policy,
             st: SwapTable::new(geom.num_groups()),
@@ -870,9 +643,6 @@ impl System {
             truncated: false,
             limits: b.limits,
             retired: 0,
-            config_fp,
-            snapshot_at: b.snapshot_at,
-            snapshot_on_cancel: b.snapshot_on_cancel,
             tracing,
             trace_cfg,
             tracer: Tracer::new(&trace_cfg),
@@ -1295,301 +1065,15 @@ impl System {
         self.first_done.iter().all(|d| d.is_some())
     }
 
-    /// Captures the complete simulation state at the current clock
-    /// boundary. Observability (tracer, shadow RSM, histograms) is
-    /// deliberately excluded: the snapshot bytes are identical whether or
-    /// not the run is traced.
-    fn snapshot(&self) -> Result<SystemSnapshot, SimError> {
-        if self.sampler_rsm.is_some() {
-            return Err(SimError::SnapshotUnsupported {
-                what: "region-sampling runs (sample_regions)".to_string(),
-            });
-        }
-        let policy_state =
-            self.policy
-                .snapshot_state()
-                .ok_or_else(|| SimError::SnapshotUnsupported {
-                    what: format!("policy {} has no snapshot support", self.policy.name()),
-                })?;
-        let cycles = |xs: &[Cycle]| Json::Arr(xs.iter().map(|c| Json::UInt(c.raw())).collect());
-        let first_done: Vec<Json> = self
-            .first_done
-            .iter()
-            .map(|d| match d {
-                None => Json::Null,
-                Some((instructions, core_cycles, ipc)) => Json::Arr(vec![
-                    Json::UInt(*instructions),
-                    Json::UInt(*core_cycles),
-                    f64_to_json(*ipc),
-                ]),
-            })
-            .collect();
-        let core_stats: Vec<Json> = self
-            .core_stats
-            .iter()
-            .map(|s| {
-                Json::Arr(vec![
-                    Json::UInt(s.served),
-                    Json::UInt(s.from_m1),
-                    Json::UInt(s.reads),
-                    Json::UInt(s.read_lat_sum),
-                ])
-            })
-            .collect();
-        let (slots, base) = self.meta.raw_parts();
-        let meta = Json::obj([
-            ("base", Json::UInt(base)),
-            (
-                "slots",
-                Json::Arr(
-                    slots
-                        .iter()
-                        .map(|s| s.as_ref().map_or(Json::Null, origin_to_json))
-                        .collect(),
-                ),
-            ),
-        ]);
-        let pending: Vec<Json> = self
-            .pending_st
-            .non_empty_queues()
-            .map(|q| {
-                Json::Arr(vec![
-                    Json::UInt(q as u64),
-                    Json::Arr(self.pending_st.queue_iter(q).map(pending_to_json).collect()),
-                ])
-            })
-            .collect();
-        let payload = Json::obj([
-            ("clock", Json::UInt(self.clock.raw())),
-            ("retired", Json::UInt(self.retired)),
-            (
-                "restarts",
-                Json::Arr(
-                    self.restarts
-                        .iter()
-                        .map(|&r| Json::UInt(u64::from(r)))
-                        .collect(),
-                ),
-            ),
-            ("first_done", Json::Arr(first_done)),
-            ("core_stats", Json::Arr(core_stats)),
-            (
-                "cores",
-                Json::Arr(self.cores.iter().map(CoreSim::snapshot_state).collect()),
-            ),
-            (
-                "channels",
-                Json::Arr(
-                    self.channels
-                        .iter()
-                        .map(ChannelSim::snapshot_state)
-                        .collect(),
-                ),
-            ),
-            (
-                "stcs",
-                Json::Arr(self.stcs.iter().map(Stc::snapshot_json).collect()),
-            ),
-            ("st", self.st.snapshot_json()),
-            ("alloc", self.alloc.snapshot_json()),
-            (
-                "page_tables",
-                Json::Arr(
-                    self.page_tables
-                        .iter()
-                        .map(|t| Json::Arr(t.raw_frames().iter().map(|&f| Json::UInt(f)).collect()))
-                        .collect(),
-                ),
-            ),
-            ("meta", meta),
-            ("pending_st", Json::Arr(pending)),
-            ("ch_next", cycles(&self.ch_next)),
-            ("core_next", cycles(&self.core_next)),
-            ("policy", policy_state),
-        ]);
-        debug_assert!(
-            matches!(&payload, Json::Obj(pairs)
-                if pairs.iter().map(|(k, _)| k.as_str()).eq(snapshot::PAYLOAD_FIELDS.iter().copied())),
-            "payload fields must match snapshot::PAYLOAD_FIELDS"
-        );
-        Ok(SystemSnapshot::new(self.config_fp, payload))
-    }
-
-    /// Loads a snapshot into this freshly built system. Fails with a
-    /// typed [`SimError`] on configuration mismatch or malformed state;
-    /// it never panics on hostile payloads.
-    // profess: allow(panic_reachability): restore validates the config fingerprint and section lengths before indexing
-    fn restore_from_snapshot(&mut self, snap: &SystemSnapshot) -> Result<(), SimError> {
-        if self.sampler_rsm.is_some() {
-            return Err(SimError::SnapshotUnsupported {
-                what: "region-sampling runs (sample_regions)".to_string(),
-            });
-        }
-        if snap.config_fingerprint() != self.config_fp {
-            return Err(SimError::SnapshotConfigMismatch {
-                found: snap.config_fingerprint(),
-                expected: self.config_fp,
-            });
-        }
-        let corrupt = |detail: String| SimError::SnapshotCorrupt { detail };
-        fn field<'a>(j: &'a Json, key: &'static str) -> Result<&'a Json, SimError> {
-            j.get(key).ok_or_else(|| SimError::SnapshotCorrupt {
-                detail: format!("missing field \"{key}\""),
-            })
-        }
-        let n_prog = self.cores.len();
-        let n_ch = self.channels.len();
-        let p = snap.payload();
-        let sized = |key: &'static str, want: usize| -> Result<&[Json], SimError> {
-            let xs = get_arr(p, key).map_err(corrupt)?;
-            if xs.len() != want {
-                return Err(corrupt(format!(
-                    "field \"{key}\": expected {want} entries, got {}",
-                    xs.len()
-                )));
-            }
-            Ok(xs)
-        };
-        self.clock = Cycle(get_u64(p, "clock").map_err(corrupt)?);
-        self.retired = get_u64(p, "retired").map_err(corrupt)?;
-        // Restart counts come first: regenerating each core's op source
-        // needs the restart index of the instance that was running.
-        for (i, r) in sized("restarts", n_prog)?.iter().enumerate() {
-            let v = u64_from(r, "restart count").map_err(corrupt)?;
-            self.restarts[i] = v
-                .try_into()
-                .map_err(|_| corrupt(format!("restart count {v} out of range")))?;
-        }
-        for (i, d) in sized("first_done", n_prog)?.iter().enumerate() {
-            self.first_done[i] = match d {
-                Json::Null => None,
-                Json::Arr(xs) if xs.len() == 3 => Some((
-                    u64_from(&xs[0], "first_done instructions").map_err(corrupt)?,
-                    u64_from(&xs[1], "first_done cycles").map_err(corrupt)?,
-                    f64_from_json(&xs[2], "first_done ipc").map_err(corrupt)?,
-                )),
-                _ => {
-                    return Err(corrupt(
-                        "first_done: expected null or a 3-tuple".to_string(),
-                    ))
-                }
-            };
-        }
-        for (i, s) in sized("core_stats", n_prog)?.iter().enumerate() {
-            let xs = s
-                .as_arr()
-                .filter(|xs| xs.len() == 4)
-                .ok_or_else(|| corrupt("core_stats: expected a 4-tuple".to_string()))?;
-            self.core_stats[i] = CoreStats {
-                served: u64_from(&xs[0], "core_stats served").map_err(corrupt)?,
-                from_m1: u64_from(&xs[1], "core_stats from_m1").map_err(corrupt)?,
-                reads: u64_from(&xs[2], "core_stats reads").map_err(corrupt)?,
-                read_lat_sum: u64_from(&xs[3], "core_stats read_lat_sum").map_err(corrupt)?,
-            };
-        }
-        let cores = sized("cores", n_prog)?;
-        for i in 0..n_prog {
-            let source = (self.factories[i])(self.restarts[i]);
-            self.cores[i]
-                .restore_state(&cores[i], source)
-                .map_err(|e| corrupt(format!("core {i}: {e}")))?;
-        }
-        let channels = sized("channels", n_ch)?;
-        for i in 0..n_ch {
-            self.channels[i]
-                .restore_state(&channels[i])
-                .map_err(|e| corrupt(format!("channel {i}: {e}")))?;
-        }
-        let stcs = sized("stcs", n_ch)?;
-        for i in 0..n_ch {
-            self.stcs[i]
-                .restore_json(&stcs[i])
-                .map_err(|e| corrupt(format!("stc {i}: {e}")))?;
-        }
-        self.st
-            .restore_json(field(p, "st")?)
-            .map_err(|e| corrupt(format!("st: {e}")))?;
-        self.alloc
-            .restore_json(field(p, "alloc")?)
-            .map_err(|e| corrupt(format!("alloc: {e}")))?;
-        for (i, t) in sized("page_tables", n_prog)?.iter().enumerate() {
-            let frames = t
-                .as_arr()
-                .ok_or_else(|| corrupt(format!("page_tables[{i}]: expected an array")))?
-                .iter()
-                .map(|f| u64_from(f, "page-table frame"))
-                .collect::<Result<Vec<u64>, String>>()
-                .map_err(corrupt)?;
-            self.page_tables[i] = FlatPageTable::from_raw_frames(frames);
-        }
-        let meta = field(p, "meta")?;
-        let base = get_u64(meta, "base").map_err(corrupt)?;
-        let mut slots = VecDeque::new();
-        let num_groups = self.geom.num_groups();
-        for s in get_arr(meta, "slots").map_err(corrupt)? {
-            slots.push_back(match s {
-                Json::Null => None,
-                other => Some(origin_from_json(other, n_prog, n_ch, num_groups).map_err(corrupt)?),
-            });
-        }
-        self.meta = TokenRing::from_raw_parts(slots, base);
-        self.pending_st = SlabQueues::new(num_groups as usize);
-        for entry in get_arr(p, "pending_st").map_err(corrupt)? {
-            let xs = entry.as_arr().filter(|xs| xs.len() == 2).ok_or_else(|| {
-                corrupt("pending_st: expected [group, waiters] pairs".to_string())
-            })?;
-            let g = u64_from(&xs[0], "pending group").map_err(corrupt)?;
-            if g >= num_groups {
-                return Err(corrupt(format!("pending group {g} out of range")));
-            }
-            let waiters = xs[1]
-                .as_arr()
-                .ok_or_else(|| corrupt("pending waiters: expected an array".to_string()))?
-                .iter()
-                .map(|w| pending_from_json(w, n_prog))
-                .collect::<Result<Vec<PendingData>, String>>()
-                .map_err(corrupt)?;
-            self.pending_st.set_queue(g as usize, waiters);
-        }
-        // The cached next-event times were valid (not dirty) at the
-        // snapshot boundary; restoring them verbatim with the dirty
-        // flags clear reproduces the uninterrupted loop's scheduling
-        // decisions exactly.
-        for (i, c) in sized("ch_next", n_ch)?.iter().enumerate() {
-            self.ch_next[i] = Cycle(u64_from(c, "ch_next").map_err(corrupt)?);
-            self.ch_dirty[i] = false;
-        }
-        for (i, c) in sized("core_next", n_prog)?.iter().enumerate() {
-            self.core_next[i] = Cycle(u64_from(c, "core_next").map_err(corrupt)?);
-            self.core_dirty[i] = false;
-        }
-        self.policy
-            .restore_state(field(p, "policy")?)
-            .map_err(|e| corrupt(format!("policy: {e}")))?;
-        Ok(())
-    }
-
     // profess: allow(panic_reachability): core/channel ids bounded by construction-time geometry
-    fn run(mut self) -> Result<RunOutcome, SimError> {
+    fn run(mut self) -> Result<SystemReport, SimError> {
         let mut served_buf: Vec<Served> = Vec::new();
         let mut out_reqs: Vec<CoreRequest> = Vec::new();
         loop {
             // 0. Supervision, observed at step granularity (the step
-            // itself does orders of magnitude more work). The top of the
-            // loop is the snapshot consistency boundary: no request is
-            // half-routed, `served_buf`/`out_reqs` are empty, and the
-            // cached next-event times are exactly what a restored run
-            // needs to resume byte-identically.
-            if let Some(at) = self.snapshot_at {
-                if at <= self.clock.raw() {
-                    return Ok(RunOutcome::Preempted(Box::new(self.snapshot()?)));
-                }
-            }
+            // itself does orders of magnitude more work).
             if let Some(token) = &self.limits.cancel {
                 if token.is_cancelled() {
-                    if self.snapshot_on_cancel {
-                        return Ok(RunOutcome::Preempted(Box::new(self.snapshot()?)));
-                    }
                     return Err(SimError::Cancelled {
                         cycle: self.clock.raw(),
                     });
@@ -1735,7 +1219,7 @@ impl System {
                 ch.catch_up_refresh(self.clock);
             }
         }
-        Ok(RunOutcome::Completed(self.report()))
+        Ok(self.report())
     }
 
     // profess: allow(panic_reachability): per-core vecs sized to core_count at construction
@@ -2254,183 +1738,6 @@ mod tests {
         assert_eq!(free.elapsed_cycles, budgeted.elapsed_cycles);
         assert_eq!(free.total_served, budgeted.total_served);
         assert_eq!(free.swaps, budgeted.swaps);
-    }
-
-    fn mdm_chase(cfg: SystemConfig) -> SystemBuilder {
-        SystemBuilder::new(cfg)
-            .policy(PolicyKind::Mdm)
-            .program("hot", scripted_chase(6000, 10))
-    }
-
-    #[test]
-    fn snapshot_restore_resumes_identically() {
-        let straight = mdm_chase(tiny_cfg()).run();
-        let outcome = mdm_chase(tiny_cfg())
-            .snapshot_at(straight.elapsed_cycles / 2)
-            .try_run_preemptible()
-            .expect("preemptible run");
-        let snap = outcome.preempted().expect("preempted mid-run");
-        assert!(snap.clock() >= straight.elapsed_cycles / 2);
-        assert!(snap.clock() < straight.elapsed_cycles);
-        // Full wire round trip before resuming.
-        let text = snap.to_json().to_string();
-        let back = SystemSnapshot::parse(&text).expect("parses");
-        let resumed = mdm_chase(tiny_cfg())
-            .restore(&back)
-            .try_run()
-            .expect("resumes to completion");
-        assert_eq!(resumed.elapsed_cycles, straight.elapsed_cycles);
-        assert_eq!(resumed.total_served, straight.total_served);
-        assert_eq!(resumed.swaps, straight.swaps);
-        assert_eq!(
-            resumed.programs[0].ipc.to_bits(),
-            straight.programs[0].ipc.to_bits()
-        );
-        assert_eq!(
-            resumed.energy_joules.to_bits(),
-            straight.energy_joules.to_bits()
-        );
-        assert_eq!(
-            resumed.avg_read_latency_cycles.to_bits(),
-            straight.avg_read_latency_cycles.to_bits()
-        );
-        assert_eq!(
-            resumed.stc_hit_rate.to_bits(),
-            straight.stc_hit_rate.to_bits()
-        );
-        assert_eq!(
-            resumed.row_hit_rate.to_bits(),
-            straight.row_hit_rate.to_bits()
-        );
-    }
-
-    #[test]
-    fn snapshot_at_zero_preempts_before_any_work() {
-        let outcome = mdm_chase(tiny_cfg())
-            .snapshot_at(0)
-            .try_run_preemptible()
-            .expect("preemptible run");
-        let snap = outcome.preempted().expect("preempted at cycle 0");
-        assert_eq!(snap.clock(), 0);
-        let resumed = mdm_chase(tiny_cfg())
-            .restore(&snap)
-            .try_run()
-            .expect("resumes");
-        let straight = mdm_chase(tiny_cfg()).run();
-        assert_eq!(resumed.elapsed_cycles, straight.elapsed_cycles);
-        assert_eq!(resumed.total_served, straight.total_served);
-        assert_eq!(resumed.swaps, straight.swaps);
-    }
-
-    #[test]
-    fn restore_rejects_mismatched_config() {
-        let snap = mdm_chase(tiny_cfg())
-            .snapshot_at(0)
-            .try_run_preemptible()
-            .expect("preemptible run")
-            .preempted()
-            .expect("preempted");
-        // Different policy → different configuration fingerprint.
-        let err = SystemBuilder::new(tiny_cfg())
-            .policy(PolicyKind::Pom)
-            .program("hot", scripted_chase(6000, 10))
-            .restore(&snap)
-            .try_run()
-            .expect_err("mismatched config must be rejected");
-        assert!(
-            matches!(err, SimError::SnapshotConfigMismatch { .. }),
-            "{err:?}"
-        );
-    }
-
-    #[test]
-    fn restore_rejects_malformed_payload() {
-        let snap = mdm_chase(tiny_cfg())
-            .snapshot_at(0)
-            .try_run_preemptible()
-            .expect("preemptible run")
-            .preempted()
-            .expect("preempted");
-        // A payload with the right fingerprint but missing state must be
-        // a typed error, not a panic.
-        let bogus = SystemSnapshot::new(
-            snap.config_fingerprint(),
-            Json::obj([("clock", Json::UInt(0))]),
-        );
-        let err = mdm_chase(tiny_cfg())
-            .restore(&bogus)
-            .try_run()
-            .expect_err("malformed payload must be rejected");
-        assert!(matches!(err, SimError::SnapshotCorrupt { .. }), "{err:?}");
-    }
-
-    #[test]
-    fn cancel_with_snapshot_on_cancel_preempts() {
-        let token = profess_par::CancelToken::new();
-        token.cancel();
-        let outcome = mdm_chase(tiny_cfg())
-            .cancel_token(token)
-            .snapshot_on_cancel(true)
-            .try_run_preemptible()
-            .expect("cancellation becomes a snapshot");
-        let snap = outcome.preempted().expect("preempted by cancellation");
-        assert_eq!(snap.clock(), 0, "pre-fired token preempts immediately");
-    }
-
-    #[test]
-    fn sample_regions_runs_cannot_snapshot() {
-        let err = mdm_chase(tiny_cfg())
-            .sample_regions(true)
-            .snapshot_at(0)
-            .try_run_preemptible()
-            .expect_err("sampling diagnostics are not snapshottable");
-        assert!(
-            matches!(err, SimError::SnapshotUnsupported { .. }),
-            "{err:?}"
-        );
-    }
-
-    #[test]
-    fn preempted_try_run_is_a_typed_error() {
-        let err = mdm_chase(tiny_cfg())
-            .snapshot_at(0)
-            .try_run()
-            .expect_err("try_run cannot deliver a snapshot");
-        assert!(
-            matches!(err, SimError::SnapshotUnsupported { .. }),
-            "{err:?}"
-        );
-    }
-
-    #[test]
-    fn multiprogram_snapshot_restores_restart_counts() {
-        let build = || {
-            let mut cfg = SystemConfig::scaled_quad();
-            cfg.rsm.m_samp = 256;
-            SystemBuilder::new(cfg)
-                .policy(PolicyKind::Pom)
-                .program("short", scripted_stream(500, 1, 10))
-                .program("long", scripted_stream(20_000, 3, 10))
-        };
-        let straight = build().run();
-        assert!(straight.programs[0].restarts > 0, "test needs a restart");
-        // Snapshot late enough that the short program restarted at least
-        // once, so the restore path exercises non-zero restart indices.
-        let snap = build()
-            .snapshot_at(straight.elapsed_cycles * 3 / 4)
-            .try_run_preemptible()
-            .expect("preemptible run")
-            .preempted()
-            .expect("preempted");
-        let resumed = build().restore(&snap).try_run().expect("resumes");
-        assert_eq!(resumed.elapsed_cycles, straight.elapsed_cycles);
-        assert_eq!(resumed.total_served, straight.total_served);
-        assert_eq!(resumed.swaps, straight.swaps);
-        for (r, s) in resumed.programs.iter().zip(&straight.programs) {
-            assert_eq!(r.restarts, s.restarts);
-            assert_eq!(r.ipc.to_bits(), s.ipc.to_bits());
-            assert_eq!(r.served, s.served);
-        }
     }
 
     #[test]

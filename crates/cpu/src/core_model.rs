@@ -3,7 +3,6 @@
 use std::collections::VecDeque;
 use std::fmt;
 
-use profess_metrics::Json;
 use profess_obs::Log2Histogram;
 use profess_types::clock::ClockSpec;
 use profess_types::config::CpuConfig;
@@ -84,9 +83,6 @@ pub struct CoreSim {
     instance_start_slot: u64,
     loads_issued: u64,
     stores_issued: u64,
-    /// Ops drawn from `source` for the current program instance; lets a
-    /// snapshot restore re-position a regenerated source by replay.
-    ops_consumed: u64,
     obs: Option<Box<CoreObs>>,
 }
 
@@ -124,7 +120,6 @@ impl CoreSim {
             instance_start_slot: 0,
             loads_issued: 0,
             stores_issued: 0,
-            ops_consumed: 0,
             obs: None,
         }
     }
@@ -162,7 +157,6 @@ impl CoreSim {
         self.wait = WaitState::Ready;
         self.exhausted = false;
         self.finish_slot = None;
-        self.ops_consumed = 0;
         // exec_slot and the issue counters carry across restarts: the core
         // keeps running in the same time base. IPC accounting restarts
         // from the current slot.
@@ -319,7 +313,6 @@ impl CoreSim {
             if self.pending.is_none() {
                 match self.source.next_op() {
                     Some(op) => {
-                        self.ops_consumed += 1;
                         self.pending = Some(PendingOp {
                             op,
                             gap_left: op.gap,
@@ -440,168 +433,6 @@ impl CoreSim {
             WaitState::UntilSlot(s) => self.slot_to_cycle(s).max(now + 1),
             WaitState::OnResponse | WaitState::Finished => Cycle::NEVER,
         }
-    }
-
-    /// Serializes the core's mutable execution state as a JSON object.
-    ///
-    /// The op source is captured as a replay position (`ops_consumed`);
-    /// restoring regenerates the source deterministically and fast-forwards
-    /// it. Configuration-derived fields (`rob`, `mshrs`, `wb_cap`, `width`,
-    /// `spmc`) and the profiling histograms (`obs`) are excluded.
-    pub fn snapshot_state(&self) -> Json {
-        let inflight_load = |l: &InflightLoad| {
-            Json::obj([
-                ("seq", Json::UInt(l.seq)),
-                ("done", opt_u64_to_json(l.done)),
-            ])
-        };
-        let (wait_kind, wait_slot) = match self.wait {
-            WaitState::Ready => (0, 0),
-            WaitState::UntilSlot(s) => (1, s),
-            WaitState::OnResponse => (2, 0),
-            WaitState::Finished => (3, 0),
-        };
-        let pending = match &self.pending {
-            None => Json::Null,
-            Some(p) => Json::obj([
-                ("gap", Json::UInt(u64::from(p.op.gap))),
-                ("store", Json::Bool(matches!(p.op.kind, MemOpKind::Store))),
-                ("line", Json::UInt(p.op.line)),
-                ("dependent", Json::Bool(p.op.dependent)),
-                ("gap_left", Json::UInt(u64::from(p.gap_left))),
-            ]),
-        };
-        Json::obj([
-            ("ops_consumed", Json::UInt(self.ops_consumed)),
-            ("exec_slot", Json::UInt(self.exec_slot)),
-            ("exec_seq", Json::UInt(self.exec_seq)),
-            ("pending", pending),
-            (
-                "inflight",
-                Json::Arr(self.inflight.iter().map(inflight_load).collect()),
-            ),
-            ("outstanding", Json::UInt(self.outstanding as u64)),
-            (
-                "last_load",
-                self.last_load.as_ref().map_or(Json::Null, inflight_load),
-            ),
-            ("wb_used", Json::UInt(self.wb_used as u64)),
-            ("wait_kind", Json::UInt(wait_kind)),
-            ("wait_slot", Json::UInt(wait_slot)),
-            ("exhausted", Json::Bool(self.exhausted)),
-            ("finish_slot", opt_u64_to_json(self.finish_slot)),
-            ("instance_start_slot", Json::UInt(self.instance_start_slot)),
-            ("loads_issued", Json::UInt(self.loads_issued)),
-            ("stores_issued", Json::UInt(self.stores_issued)),
-        ])
-    }
-
-    /// Restores the state captured by [`CoreSim::snapshot_state`], replacing
-    /// this core's op stream with `source` (a deterministic regeneration of
-    /// the one active at capture) and fast-forwarding it by the recorded
-    /// `ops_consumed`.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first malformed field, or of a source
-    /// that runs dry before reaching the replay position (which means the
-    /// regenerated program differs from the captured one).
-    pub fn restore_state(
-        &mut self,
-        snap: &Json,
-        mut source: Box<dyn OpSource>,
-    ) -> Result<(), String> {
-        let ops_consumed = get_u64(snap, "ops_consumed")?;
-        for i in 0..ops_consumed {
-            if source.next_op().is_none() {
-                return Err(format!(
-                    "op source ran dry at op {i} of {ops_consumed}: regenerated program differs from the captured one"
-                ));
-            }
-        }
-        let inflight_load = |v: &Json, what: &str| -> Result<InflightLoad, String> {
-            Ok(InflightLoad {
-                seq: get_u64(v, "seq").map_err(|e| format!("{what} {e}"))?,
-                done: opt_u64_from_json(v.get("done"), "done")
-                    .map_err(|e| format!("{what} {e}"))?,
-            })
-        };
-        self.source = source;
-        self.ops_consumed = ops_consumed;
-        self.exec_slot = get_u64(snap, "exec_slot")?;
-        self.exec_seq = get_u64(snap, "exec_seq")?;
-        self.pending = match snap.get("pending") {
-            Some(Json::Null) => None,
-            Some(p) => Some(PendingOp {
-                op: MemOp {
-                    gap: u32::try_from(get_u64(p, "gap")?)
-                        .map_err(|_| "pending gap: out of range".to_string())?,
-                    kind: if get_bool(p, "store")? {
-                        MemOpKind::Store
-                    } else {
-                        MemOpKind::Load
-                    },
-                    line: get_u64(p, "line")?,
-                    dependent: get_bool(p, "dependent")?,
-                },
-                gap_left: u32::try_from(get_u64(p, "gap_left")?)
-                    .map_err(|_| "pending gap_left: out of range".to_string())?,
-            }),
-            None => return Err("pending: missing".to_string()),
-        };
-        self.inflight = snap
-            .get("inflight")
-            .and_then(Json::as_arr)
-            .ok_or_else(|| "inflight: missing or not an array".to_string())?
-            .iter()
-            .map(|v| inflight_load(v, "inflight"))
-            .collect::<Result<_, _>>()?;
-        self.outstanding = usize::try_from(get_u64(snap, "outstanding")?)
-            .map_err(|_| "outstanding: out of range".to_string())?;
-        self.last_load = match snap.get("last_load") {
-            Some(Json::Null) => None,
-            Some(v) => Some(inflight_load(v, "last_load")?),
-            None => return Err("last_load: missing".to_string()),
-        };
-        self.wb_used = usize::try_from(get_u64(snap, "wb_used")?)
-            .map_err(|_| "wb_used: out of range".to_string())?;
-        self.wait = match (get_u64(snap, "wait_kind")?, get_u64(snap, "wait_slot")?) {
-            (0, _) => WaitState::Ready,
-            (1, s) => WaitState::UntilSlot(s),
-            (2, _) => WaitState::OnResponse,
-            (3, _) => WaitState::Finished,
-            (k, _) => return Err(format!("wait_kind: unknown value {k}")),
-        };
-        self.exhausted = get_bool(snap, "exhausted")?;
-        self.finish_slot = opt_u64_from_json(snap.get("finish_slot"), "finish_slot")?;
-        self.instance_start_slot = get_u64(snap, "instance_start_slot")?;
-        self.loads_issued = get_u64(snap, "loads_issued")?;
-        self.stores_issued = get_u64(snap, "stores_issued")?;
-        Ok(())
-    }
-}
-
-fn get_u64(obj: &Json, key: &str) -> Result<u64, String> {
-    obj.get(key)
-        .and_then(Json::as_u64)
-        .ok_or_else(|| format!("{key}: missing or not an unsigned integer"))
-}
-
-fn get_bool(obj: &Json, key: &str) -> Result<bool, String> {
-    obj.get(key)
-        .and_then(Json::as_bool)
-        .ok_or_else(|| format!("{key}: missing or not a boolean"))
-}
-
-fn opt_u64_to_json(v: Option<u64>) -> Json {
-    v.map_or(Json::Null, Json::UInt)
-}
-
-fn opt_u64_from_json(v: Option<&Json>, what: &str) -> Result<Option<u64>, String> {
-    match v {
-        Some(Json::Null) => Ok(None),
-        Some(Json::UInt(u)) => Ok(Some(*u)),
-        _ => Err(format!("{what}: missing or not null/unsigned")),
     }
 }
 
@@ -840,132 +671,6 @@ mod tests {
         assert_eq!(obs.rob_occupancy.count(), 2);
         // The second sample sees the unretired in-flight load.
         assert!(obs.rob_occupancy.max() >= 1);
-    }
-
-    /// Mid-run snapshot → restore into a fresh core (with a regenerated
-    /// source) must continue identically: same requests, same IPC, same
-    /// final serialized state.
-    #[test]
-    fn snapshot_restore_resumes_identically() {
-        let clock = ClockSpec::paper();
-        let ops: Vec<MemOp> = (0..20)
-            .map(|i| match i % 3 {
-                0 => load(7, i),
-                1 => dep_load(3, i),
-                _ => store(5, i),
-            })
-            .collect();
-        let mut core = CoreSim::new(&cfg(), &clock, scripted(ops.clone()));
-        let mut issued = Vec::new();
-        // Advance partway with a fixed 40-cycle latency memory.
-        let mut pending: Vec<(Cycle, u64)> = Vec::new();
-        let mut now = Cycle(0);
-        for _ in 0..6 {
-            let mut out = Vec::new();
-            core.advance(now, &mut out);
-            for r in out {
-                issued.push(r);
-                pending.push((now + 40, r.id));
-            }
-            let mut next = core.next_event(now);
-            for (d, _) in &pending {
-                next = next.min(*d);
-            }
-            if next == Cycle::NEVER {
-                break;
-            }
-            now = next;
-            let mut i = 0;
-            while i < pending.len() {
-                if pending[i].0 <= now {
-                    let (at, id) = pending.swap_remove(i);
-                    core.complete(id, at);
-                } else {
-                    i += 1;
-                }
-            }
-        }
-
-        let snap = core.snapshot_state();
-        let mut restored = CoreSim::new(&cfg(), &clock, scripted(Vec::new()));
-        restored
-            .restore_state(
-                &Json::parse(&snap.to_string()).expect("parse"),
-                scripted(ops.clone()),
-            )
-            .expect("restore");
-        assert_eq!(restored.snapshot_state().to_string(), snap.to_string());
-
-        // Drive both to completion with the same memory and compare.
-        let drive = |core: &mut CoreSim, mut pending: Vec<(Cycle, u64)>, mut now: Cycle| {
-            let mut log = Vec::new();
-            for _ in 0..100_000 {
-                if core.is_finished() {
-                    break;
-                }
-                let mut out = Vec::new();
-                core.advance(now, &mut out);
-                for r in out {
-                    log.push((now, r));
-                    pending.push((now + 40, r.id));
-                }
-                let mut next = core.next_event(now);
-                for (d, _) in &pending {
-                    next = next.min(*d);
-                }
-                if next == Cycle::NEVER {
-                    break;
-                }
-                now = next;
-                let mut i = 0;
-                while i < pending.len() {
-                    if pending[i].0 <= now {
-                        let (at, id) = pending.swap_remove(i);
-                        core.complete(id, at);
-                    } else {
-                        i += 1;
-                    }
-                }
-            }
-            log
-        };
-        let log_a = drive(&mut core, pending.clone(), now);
-        let log_b = drive(&mut restored, pending, now);
-        assert_eq!(log_a, log_b, "restored core diverged");
-        assert!(core.is_finished() && restored.is_finished());
-        assert_eq!(
-            core.snapshot_state().to_string(),
-            restored.snapshot_state().to_string()
-        );
-        assert_eq!(core.ipc(), restored.ipc());
-    }
-
-    #[test]
-    fn restore_rejects_short_source_and_malformed_state() {
-        let clock = ClockSpec::paper();
-        let mut core = CoreSim::new(&cfg(), &clock, scripted(vec![load(2, 1), load(2, 2)]));
-        let mut out = Vec::new();
-        core.advance(Cycle(50), &mut out);
-        let snap = core.snapshot_state();
-        assert!(snap.get("ops_consumed").and_then(Json::as_u64).unwrap() > 0);
-
-        // A regenerated source with fewer ops than were consumed is a
-        // different program: restore must fail, not silently desync.
-        let mut fresh = CoreSim::new(&cfg(), &clock, scripted(Vec::new()));
-        let err = fresh
-            .restore_state(&snap, scripted(Vec::new()))
-            .unwrap_err();
-        assert!(err.contains("ran dry"), "{err}");
-
-        // A missing field is reported by name.
-        let mut broken = snap.clone();
-        if let Json::Obj(pairs) = &mut broken {
-            pairs.retain(|(k, _)| k != "exec_slot");
-        }
-        let err = fresh
-            .restore_state(&broken, scripted(vec![load(2, 1), load(2, 2)]))
-            .unwrap_err();
-        assert!(err.contains("exec_slot"), "{err}");
     }
 
     #[test]

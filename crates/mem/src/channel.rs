@@ -2,7 +2,6 @@
 //! a data bus) with FR-FCFS-Cap scheduling, write draining, M1 refresh and
 //! channel-blocking block swaps.
 
-use profess_metrics::Json;
 use profess_obs::Log2Histogram;
 use profess_types::config::{EnergyConfig, MemTimingConfig, TechTiming};
 use profess_types::geometry::{MemLoc, Module};
@@ -677,264 +676,6 @@ impl ChannelSim {
         self.stats.swap_busy_cycles += (done - start).raw();
         done
     }
-
-    /// Serializes the channel's mutable timing state (banks, queues,
-    /// in-flight requests, refresh bookkeeping, energy and statistics
-    /// counters) as a JSON object.
-    ///
-    /// Configuration-derived fields (`timing`, `energy_cfg`,
-    /// `lines_per_block`) and the profiling histograms (`obs`) are
-    /// excluded: a restored channel is rebuilt from the same
-    /// configuration, and observability restarts empty by design.
-    pub fn snapshot_state(&self) -> Json {
-        let banks = |bs: &[BankState]| Json::Arr(bs.iter().map(bank_to_json).collect());
-        let queue = |q: &[Queued]| Json::Arr(q.iter().map(queued_to_json).collect());
-        Json::obj([
-            ("banks_m1", banks(&self.banks_m1)),
-            ("banks_m2", banks(&self.banks_m2)),
-            ("bus_free", Json::UInt(self.bus_free.raw())),
-            ("blocked_until", Json::UInt(self.blocked_until.raw())),
-            ("read_q", queue(&self.read_q)),
-            ("write_q", queue(&self.write_q)),
-            (
-                "inflight",
-                Json::Arr(self.inflight.iter().map(served_to_json).collect()),
-            ),
-            ("draining_writes", Json::Bool(self.draining_writes)),
-            ("next_refresh", Json::UInt(self.next_refresh.raw())),
-            (
-                "energy",
-                Json::Arr(
-                    [
-                        self.energy.m1_acts,
-                        self.energy.m1_reads,
-                        self.energy.m1_writes,
-                        self.energy.m2_acts,
-                        self.energy.m2_reads,
-                        self.energy.m2_writes,
-                        self.energy.m1_refreshes,
-                    ]
-                    .into_iter()
-                    .map(Json::UInt)
-                    .collect(),
-                ),
-            ),
-            (
-                "stats",
-                Json::Arr(
-                    [
-                        self.stats.reads_served,
-                        self.stats.writes_served,
-                        self.stats.row_hits,
-                        self.stats.read_latency_sum,
-                        self.stats.swaps,
-                        self.stats.swap_busy_cycles,
-                        self.stats.refreshes,
-                    ]
-                    .into_iter()
-                    .map(Json::UInt)
-                    .collect(),
-                ),
-            ),
-        ])
-    }
-
-    /// Restores the mutable state captured by [`ChannelSim::snapshot_state`]
-    /// into a freshly constructed channel with the same configuration.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first malformed or mismatched field
-    /// (e.g. a bank count that differs from this channel's configuration).
-    pub fn restore_state(&mut self, snap: &Json) -> Result<(), String> {
-        let banks = |key: &str, want: usize| -> Result<Vec<BankState>, String> {
-            let arr = get_arr(snap, key)?;
-            if arr.len() != want {
-                return Err(format!("{key}: {} banks, expected {want}", arr.len()));
-            }
-            arr.iter().map(bank_from_json).collect()
-        };
-        let queue = |key: &str| -> Result<Vec<Queued>, String> {
-            get_arr(snap, key)?.iter().map(queued_from_json).collect()
-        };
-        self.banks_m1 = banks("banks_m1", self.banks_m1.len())?;
-        self.banks_m2 = banks("banks_m2", self.banks_m2.len())?;
-        self.bus_free = Cycle(get_u64(snap, "bus_free")?);
-        self.blocked_until = Cycle(get_u64(snap, "blocked_until")?);
-        self.read_q = queue("read_q")?;
-        self.write_q = queue("write_q")?;
-        self.inflight = get_arr(snap, "inflight")?
-            .iter()
-            .map(served_from_json)
-            .collect::<Result<_, _>>()?;
-        self.inflight_min_done = self
-            .inflight
-            .iter()
-            .map(|s| s.done)
-            .fold(Cycle::NEVER, Cycle::min);
-        self.draining_writes = get_bool(snap, "draining_writes")?;
-        self.sched_hint = None;
-        self.next_refresh = Cycle(get_u64(snap, "next_refresh")?);
-        let e = get_u64_array::<7>(snap, "energy")?;
-        self.energy = EnergyCounters {
-            m1_acts: e[0],
-            m1_reads: e[1],
-            m1_writes: e[2],
-            m2_acts: e[3],
-            m2_reads: e[4],
-            m2_writes: e[5],
-            m1_refreshes: e[6],
-        };
-        let s = get_u64_array::<7>(snap, "stats")?;
-        self.stats = ChannelStats {
-            reads_served: s[0],
-            writes_served: s[1],
-            row_hits: s[2],
-            read_latency_sum: s[3],
-            swaps: s[4],
-            swap_busy_cycles: s[5],
-            refreshes: s[6],
-        };
-        Ok(())
-    }
-}
-
-fn get_u64(obj: &Json, key: &str) -> Result<u64, String> {
-    obj.get(key)
-        .and_then(Json::as_u64)
-        .ok_or_else(|| format!("{key}: missing or not an unsigned integer"))
-}
-
-fn get_bool(obj: &Json, key: &str) -> Result<bool, String> {
-    obj.get(key)
-        .and_then(Json::as_bool)
-        .ok_or_else(|| format!("{key}: missing or not a boolean"))
-}
-
-fn get_arr<'a>(obj: &'a Json, key: &str) -> Result<&'a [Json], String> {
-    obj.get(key)
-        .and_then(Json::as_arr)
-        .ok_or_else(|| format!("{key}: missing or not an array"))
-}
-
-fn get_u64_array<const N: usize>(obj: &Json, key: &str) -> Result<[u64; N], String> {
-    let arr = get_arr(obj, key)?;
-    if arr.len() != N {
-        return Err(format!("{key}: {} entries, expected {N}", arr.len()));
-    }
-    let mut out = [0u64; N];
-    for (i, v) in arr.iter().enumerate() {
-        out[i] = v
-            .as_u64()
-            .ok_or_else(|| format!("{key}[{i}]: not an unsigned integer"))?;
-    }
-    Ok(out)
-}
-
-fn opt_u64_to_json(v: Option<u64>) -> Json {
-    v.map_or(Json::Null, Json::UInt)
-}
-
-fn opt_u64_from_json(v: Option<&Json>, what: &str) -> Result<Option<u64>, String> {
-    match v {
-        Some(Json::Null) => Ok(None),
-        Some(Json::UInt(u)) => Ok(Some(*u)),
-        _ => Err(format!("{what}: missing or not null/unsigned")),
-    }
-}
-
-fn bank_to_json(b: &BankState) -> Json {
-    Json::obj([
-        ("open_row", opt_u64_to_json(b.open_row)),
-        ("cas_ready", Json::UInt(b.cas_ready.raw())),
-        ("last_act", opt_u64_to_json(b.last_act.map(Cycle::raw))),
-        ("pre_ready", Json::UInt(b.pre_ready.raw())),
-        ("hit_streak", Json::UInt(u64::from(b.hit_streak))),
-    ])
-}
-
-fn bank_from_json(v: &Json) -> Result<BankState, String> {
-    Ok(BankState {
-        open_row: opt_u64_from_json(v.get("open_row"), "bank open_row")?,
-        cas_ready: Cycle(get_u64(v, "cas_ready")?),
-        last_act: opt_u64_from_json(v.get("last_act"), "bank last_act")?.map(Cycle),
-        pre_ready: Cycle(get_u64(v, "pre_ready")?),
-        hit_streak: u32::try_from(get_u64(v, "hit_streak")?)
-            .map_err(|_| "bank hit_streak: out of range".to_string())?,
-    })
-}
-
-fn loc_to_pairs(loc: MemLoc) -> [(&'static str, Json); 3] {
-    [
-        ("m2", Json::Bool(loc.module == Module::M2)),
-        ("bank", Json::UInt(u64::from(loc.bank))),
-        ("row", Json::UInt(loc.row)),
-    ]
-}
-
-fn loc_from_json(v: &Json) -> Result<MemLoc, String> {
-    Ok(MemLoc {
-        module: if get_bool(v, "m2")? {
-            Module::M2
-        } else {
-            Module::M1
-        },
-        bank: u32::try_from(get_u64(v, "bank")?)
-            .map_err(|_| "request bank: out of range".to_string())?,
-        row: get_u64(v, "row")?,
-    })
-}
-
-fn queued_to_json(q: &Queued) -> Json {
-    let mut pairs = vec![
-        ("id", Json::UInt(q.req.id)),
-        ("write", Json::Bool(matches!(q.req.kind, AccessKind::Write))),
-    ];
-    pairs.extend(loc_to_pairs(q.req.loc));
-    pairs.push(("enq", Json::UInt(q.enq.raw())));
-    Json::obj(pairs)
-}
-
-fn queued_from_json(v: &Json) -> Result<Queued, String> {
-    Ok(Queued {
-        req: PhysRequest {
-            id: get_u64(v, "id")?,
-            kind: if get_bool(v, "write")? {
-                AccessKind::Write
-            } else {
-                AccessKind::Read
-            },
-            loc: loc_from_json(v)?,
-        },
-        enq: Cycle(get_u64(v, "enq")?),
-    })
-}
-
-fn served_to_json(s: &Served) -> Json {
-    let mut pairs = vec![
-        ("id", Json::UInt(s.id)),
-        ("write", Json::Bool(matches!(s.kind, AccessKind::Write))),
-    ];
-    pairs.extend(loc_to_pairs(s.loc));
-    pairs.push(("enqueued", Json::UInt(s.enqueued.raw())));
-    pairs.push(("done", Json::UInt(s.done.raw())));
-    pairs.push(("row_hit", Json::Bool(s.row_hit)));
-    Json::obj(pairs)
-}
-
-fn served_from_json(v: &Json) -> Result<Served, String> {
-    Ok(Served {
-        id: get_u64(v, "id")?,
-        kind: if get_bool(v, "write")? {
-            AccessKind::Write
-        } else {
-            AccessKind::Read
-        },
-        loc: loc_from_json(v)?,
-        enqueued: Cycle(get_u64(v, "enqueued")?),
-        done: Cycle(get_u64(v, "done")?),
-        row_hit: get_bool(v, "row_hit")?,
-    })
 }
 
 #[cfg(test)]
@@ -1171,74 +912,6 @@ mod tests {
         assert_eq!(obs.queue_depth.count(), 2);
         assert_eq!(obs.queue_depth.max(), 2);
         assert!(c.take_obs().is_none(), "take_obs disables observability");
-    }
-
-    /// Mid-flight snapshot → restore into a fresh channel must continue
-    /// byte-identically: same completions, same final counters.
-    #[test]
-    fn snapshot_restore_resumes_identically() {
-        let mut c = ch();
-        // Build up rich state: an open row, queued reads and writes, a
-        // swap, and requests still in flight at the capture point.
-        let m1 = MemLoc {
-            module: Module::M1,
-            bank: 0,
-            row: 0,
-        };
-        let m2 = MemLoc {
-            module: Module::M2,
-            bank: 3,
-            row: 9,
-        };
-        c.begin_swap(Cycle(0), m1, m2);
-        for i in 0..6 {
-            c.push(rd(i, Module::M1, (i % 3) as u32, i), Cycle(5 + i));
-            c.push(wr(100 + i, Module::M2, (i % 2) as u32, i), Cycle(6 + i));
-        }
-        let mut early = Vec::new();
-        c.advance(Cycle(700), &mut early);
-
-        let snap = c.snapshot_state();
-        let mut restored = ch();
-        restored
-            .restore_state(&Json::parse(&snap.to_string()).expect("parse"))
-            .expect("restore");
-        assert_eq!(
-            restored.snapshot_state().to_string(),
-            snap.to_string(),
-            "snapshot must round-trip byte-identically"
-        );
-
-        let rest_a = run_until_idle(&mut c, Cycle(700));
-        let rest_b = run_until_idle(&mut restored, Cycle(700));
-        assert_eq!(rest_a, rest_b);
-        assert_eq!(c.stats(), restored.stats());
-        assert_eq!(c.energy(), restored.energy());
-        assert_eq!(
-            c.snapshot_state().to_string(),
-            restored.snapshot_state().to_string()
-        );
-    }
-
-    #[test]
-    fn restore_rejects_malformed_state() {
-        let mut c = ch();
-        let mut snap = c.snapshot_state();
-        // Drop a required key.
-        if let Json::Obj(pairs) = &mut snap {
-            pairs.retain(|(k, _)| k != "bus_free");
-        }
-        let err = c.restore_state(&snap).unwrap_err();
-        assert!(err.contains("bus_free"), "{err}");
-        // Bank count mismatch (different configuration).
-        let other = ChannelSim::new(
-            MemTimingConfig::paper(),
-            EnergyConfig::default_values(),
-            8,
-            32,
-        );
-        let err = c.restore_state(&other.snapshot_state()).unwrap_err();
-        assert!(err.contains("banks"), "{err}");
     }
 
     /// The scheduling hint is a pure cache: a channel that keeps it

@@ -18,13 +18,8 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod process;
 pub mod supervise;
 
-pub use process::{
-    split_fault_spec, worker_fault, ProcessFault, ProcessFaultKind, ProcessFaultPlan,
-    ShardSupervision, WorkerEvent, WorkerExit, WorkerPool, WorkerSpec, SHARD_FAULT_ENV,
-};
 pub use supervise::{
     CancelToken, Fault, FaultKind, FaultPlan, SuperviseConfig, Supervised, TaskCtx, TaskOutcome,
     FAULT_ENV, FAULT_EXIT_CODE, RETRIES_ENV, TIMEOUT_ENV,

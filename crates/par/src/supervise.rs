@@ -292,18 +292,6 @@ impl SuperviseConfig {
     /// `PROFESS_FAULT`. Invalid values are an error, not a silent
     /// default: a typo'd fault plan must not quietly run fault-free.
     pub fn from_env() -> Result<SuperviseConfig, String> {
-        let mut cfg = SuperviseConfig::base_from_env()?;
-        cfg.faults = FaultPlan::from_env()?;
-        Ok(cfg)
-    }
-
-    /// [`SuperviseConfig::from_env`] without the fault plan: retries and
-    /// timeout only, `faults` left empty. The shard supervisor uses this
-    /// because its `PROFESS_FAULT` may carry process-level `worker_*`
-    /// entries that [`FaultPlan::parse`] rightly rejects — it splits the
-    /// spec itself and parses only the task-side remainder (see
-    /// [`crate::process::ShardSupervision::from_env`]).
-    pub fn base_from_env() -> Result<SuperviseConfig, String> {
         let mut cfg = SuperviseConfig::default();
         if let Ok(v) = std::env::var(RETRIES_ENV) {
             cfg.retries = v
@@ -318,6 +306,7 @@ impl SuperviseConfig {
                 .map_err(|_| format!("{TIMEOUT_ENV}={v}: expected milliseconds"))?;
             cfg.timeout = (ms > 0).then(|| Duration::from_millis(ms));
         }
+        cfg.faults = FaultPlan::from_env()?;
         Ok(cfg)
     }
 }

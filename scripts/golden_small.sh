@@ -31,7 +31,6 @@ for t in $threads; do
         [ "$bin" = table4 ] && target=50000
         out="$work/$bin.txt"
         env -u PROFESS_CHECKPOINT -u PROFESS_FAULT -u PROFESS_TRACE -u PROFESS_TARGET \
-            -u PROFESS_SNAPSHOT -u PROFESS_SNAPSHOT_AT \
             PROFESS_RESULTS_DIR="$work/results" PROFESS_THREADS="$t" \
             cargo run --release --offline -q -p profess-bench --bin "$bin" -- "$target" \
             | { grep -v -E '^(perf|rows|trace) artifact:' || true; } > "$out"

@@ -60,10 +60,8 @@ pub mod report;
 
 /// The most commonly used items, for glob import.
 pub mod prelude {
-    pub use profess_core::system::{PolicyKind, RunOutcome, SystemBuilder, SystemReport};
-    pub use profess_core::{
-        Decision, MigrationPolicy, RegionClass, RegionMap, SystemSnapshot, SNAPSHOT_VERSION,
-    };
+    pub use profess_core::system::{PolicyKind, SystemBuilder, SystemReport};
+    pub use profess_core::{Decision, MigrationPolicy, RegionClass, RegionMap};
     pub use profess_cpu::{MemOp, MemOpKind, OpSource};
     pub use profess_metrics::{slowdown, unfairness, weighted_speedup, BoxPlot};
     pub use profess_trace::{workloads, ProgramGen, SpecProgram, Workload};

@@ -1,9 +1,6 @@
-//! Shared fixtures for the report-pinning suites (`fingerprints`,
-//! `snapshot`): the full policy grid, the FNV-1a hash, the pinned
-//! golden table, and the builders that produce the pinned
-//! configurations. Keeping these in one place guarantees the
-//! snapshot-equivalence matrix exercises *exactly* the runs whose
-//! bytes the fingerprint suite pins.
+//! Shared fixtures for the report-pinning suites: the full policy grid,
+//! the FNV-1a hash, the pinned golden table, and the builders that
+//! produce the pinned configurations.
 #![allow(dead_code)] // each test binary uses its own subset
 
 use profess::prelude::*;

@@ -13,8 +13,7 @@ use profess::prelude::*;
 use profess::report::report_to_json;
 use profess_bench::harness::TraceCollector;
 use profess_bench::{
-    rows_to_json, CellPlan, FaultPlan, Journal, NormalizedSweep, Pool, SnapshotMode,
-    SuperviseConfig,
+    rows_to_json, CellPlan, FaultPlan, Journal, NormalizedSweep, Pool, SuperviseConfig,
 };
 
 /// Every migration policy the simulator implements.
@@ -164,13 +163,7 @@ fn planned_sweep(threads: usize, traces: &mut TraceCollector) -> (String, usize)
         timeout: None,
         faults: FaultPlan::none(),
     };
-    let run = plan.execute(
-        &Pool::new(threads),
-        &strict,
-        &Journal::disabled(),
-        &SnapshotMode::disabled(),
-        traces,
-    );
+    let run = plan.execute(&Pool::new(threads), &strict, &Journal::disabled(), traces);
     assert!(run.all_ok(), "sweep cell failed: {:?}", run.failed_cells());
     (rows_to_json(&sweep.rows(&run).0), plan.unique())
 }

@@ -9,9 +9,7 @@
 //! with tracing disabled (the default), an instrumented simulator must
 //! reproduce these exact bytes.
 //!
-//! The grid, the hash, and the pinned table live in `tests/common` so
-//! `tests/snapshot.rs` can prove snapshot/restore byte-identity against
-//! the same golden runs.
+//! The grid, the hash, and the pinned table live in `tests/common`.
 //!
 //! If a change is *meant* to alter results, re-pin by running with
 //! `PROFESS_BLESS_FINGERPRINTS=1` and copying the printed table.

@@ -1,7 +1,7 @@
 //! The cell planner (`profess_bench::plan`): every unique cell runs once,
 //! results do not depend on the thread count or on the order distinct
 //! cells were declared in, and cell keys stay those of the committed
-//! checkpoint goldens.
+//! checkpoint goldens (`results/*_plan_ci.*`).
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -10,8 +10,8 @@ use profess::metrics::Json;
 use profess::prelude::*;
 use profess_bench::harness::TraceCollector;
 use profess_bench::{
-    checkpoint, normalized_cell_keys, normalized_sweep_supervised, rows_to_json, Cell, CellPlan,
-    FaultPlan, Journal, PlanRun, Pool, SlowdownCells, SnapshotMode, SuperviseConfig,
+    checkpoint, normalized_sweep_supervised, rows_to_json, Cell, CellPlan, FaultPlan, Journal,
+    NormalizedSweep, PlanRun, Pool, SlowdownCells, SuperviseConfig,
 };
 
 fn cfg() -> SystemConfig {
@@ -34,7 +34,6 @@ fn execute(plan: &CellPlan, threads: usize, journal: &Journal) -> PlanRun {
         &Pool::new(threads),
         &strict(),
         journal,
-        &SnapshotMode::disabled(),
         &mut TraceCollector::disabled(),
     )
 }
@@ -134,12 +133,12 @@ fn rendered_rows_ignore_threads_and_declaration_order() {
     );
 }
 
-/// The journal keys are the ones the committed shard goldens
-/// (`results/CHECKPOINT_shard_ci.jsonl`, `results/ROWS_shard_ci.json`)
-/// were written with: a renamed key would silently orphan every
-/// existing journal.
+/// The journal keys are the ones the committed planner goldens
+/// (`results/CHECKPOINT_plan_ci.jsonl`, `results/ROWS_plan_ci.json`)
+/// were written with, in the plan's key order: a renamed key would
+/// silently orphan every existing journal.
 #[test]
-fn keys_are_pinned_to_the_shard_goldens() {
+fn keys_are_pinned_to_the_plan_goldens() {
     let cfg = SystemConfig::scaled_quad();
     let w01 = workloads()[0];
     assert_eq!(
@@ -152,7 +151,7 @@ fn keys_are_pinned_to_the_shard_goldens() {
     );
     let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("results");
     let golden =
-        std::fs::read_to_string(root.join("CHECKPOINT_shard_ci.jsonl")).expect("golden journal");
+        std::fs::read_to_string(root.join("CHECKPOINT_plan_ci.jsonl")).expect("golden journal");
     let golden_keys: Vec<String> = golden
         .lines()
         .map(
@@ -162,16 +161,14 @@ fn keys_are_pinned_to_the_shard_goldens() {
             },
         )
         .collect();
-    assert_eq!(
-        normalized_cell_keys(&cfg, PolicyKind::Mdm, 400, &[w01]),
-        golden_keys,
-        "cell order"
-    );
+    let mut plan = CellPlan::new();
+    NormalizedSweep::declare(&mut plan, &cfg, PolicyKind::Mdm, 400, &[w01]);
+    assert_eq!(plan.keys(), golden_keys, "cell order");
 
     // Replaying the golden journal reproduces the golden rows without
     // running anything.
     let copy = temp_journal("golden");
-    std::fs::copy(root.join("CHECKPOINT_shard_ci.jsonl"), &copy).expect("copy golden");
+    std::fs::copy(root.join("CHECKPOINT_plan_ci.jsonl"), &copy).expect("copy golden");
     let journal = Journal::load(&copy).expect("load golden");
     let sweep = normalized_sweep_supervised(
         &Pool::new(1),
@@ -181,11 +178,10 @@ fn keys_are_pinned_to_the_shard_goldens() {
         &[w01],
         &strict(),
         &journal,
-        &SnapshotMode::disabled(),
         &mut TraceCollector::disabled(),
     );
     assert_eq!(sweep.executed(), 0, "every cell replays from the golden");
-    let rows = std::fs::read_to_string(root.join("ROWS_shard_ci.json")).expect("golden rows");
+    let rows = std::fs::read_to_string(root.join("ROWS_plan_ci.json")).expect("golden rows");
     assert_eq!(rows_to_json(&sweep.rows), rows);
     std::fs::remove_file(&copy).ok();
 }

@@ -13,11 +13,12 @@
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::time::Duration;
 
 use profess::prelude::*;
 use profess_bench::harness::TraceCollector;
 use profess_bench::{
-    checkpoint, normalized_sweep_supervised, rows_to_json, FaultPlan, Journal, Pool, SnapshotMode,
+    checkpoint, normalized_sweep_supervised, rows_to_json, CellPlan, FaultPlan, Journal, Pool,
     SuperviseConfig,
 };
 use profess_check::strategy::{tuple2, tuple3, u64_range, vec_of};
@@ -69,7 +70,6 @@ fn killed_and_resumed_sweep_is_byte_identical() {
                 &subset,
                 sup,
                 journal,
-                &SnapshotMode::disabled(),
                 &mut TraceCollector::disabled(),
             )
         };
@@ -138,7 +138,6 @@ fn injected_panic_surfaces_as_cell_outcome_with_history() {
         &subset,
         &sup,
         &Journal::disabled(),
-        &SnapshotMode::disabled(),
         &mut TraceCollector::disabled(),
     );
     let cell = |label: &str| {
@@ -168,6 +167,42 @@ fn injected_panic_surfaces_as_cell_outcome_with_history() {
     assert!(run.rows.is_empty() && run.skipped == vec!["w01".to_string()]);
 }
 
+/// A cell whose watchdog deadline fires is cancelled and retried cold,
+/// from cycle 0, like any other failed attempt. With a 1 ms deadline
+/// against a multiprogram cell that needs well over 100 ms, both
+/// attempts time out and the cell ends exhausted, its history recording
+/// each cancellation.
+#[test]
+fn timed_out_cell_is_retried_cold_until_exhausted() {
+    let mut plan = CellPlan::new();
+    plan.multi(&sweep_cfg(), PolicyKind::Pom, &workloads()[0], 60_000);
+    let sup = SuperviseConfig {
+        retries: 1,
+        timeout: Some(Duration::from_millis(1)),
+        faults: FaultPlan::none(),
+    };
+    let run = plan.execute(
+        &Pool::new(1),
+        &sup,
+        &Journal::disabled(),
+        &mut TraceCollector::disabled(),
+    );
+    let [cell] = &run.cells[..] else {
+        panic!("one cell expected: {:?}", run.cells);
+    };
+    assert_eq!(cell.status, "exhausted");
+    assert_eq!(cell.attempts, 2);
+    assert_eq!(
+        cell.history,
+        vec!["attempt 1: timed out", "attempt 2: timed out"]
+    );
+    assert_eq!(
+        cell.error.as_deref(),
+        Some("exhausted after 2 attempts: timed out")
+    );
+    assert!(!run.all_ok());
+}
+
 /// A malformed journal line is dropped on load (the cell reruns), but
 /// the drop is *surfaced*: `SweepRun::skipped_malformed` carries the
 /// count into the perf artifact, where strict CI (`checkpointcheck` on
@@ -188,7 +223,6 @@ fn malformed_journal_lines_surface_in_sweep_run() {
         &subset,
         &strict(),
         &journal,
-        &SnapshotMode::disabled(),
         &mut TraceCollector::disabled(),
     );
     assert!(run.all_ok());

@@ -11,7 +11,7 @@ use profess::prelude::PolicyKind;
 use profess_bench::checkpoint::Journal;
 use profess_bench::harness::TraceCollector;
 use profess_bench::surface::{surface_sweep, surface_to_json, validate_surface, SurfaceSpec};
-use profess_bench::{Pool, SnapshotMode, SuperviseConfig};
+use profess_bench::{Pool, SuperviseConfig};
 use profess_types::SystemConfig;
 
 fn tiny_spec() -> SurfaceSpec {
@@ -32,7 +32,6 @@ fn run_surface(pool: &Pool, journal: &Journal) -> (String, usize, usize) {
         &spec,
         &SuperviseConfig::default(),
         journal,
-        &SnapshotMode::disabled(),
         &mut traces,
     );
     assert!(run.all_ok(), "cells failed: {:?}", run.skipped);

@@ -188,26 +188,22 @@ pub struct RunMeta {
     pub os: String,
     /// CPU architecture (`std::env::consts::ARCH`).
     pub arch: String,
-    /// `rustc --version` of the toolchain on `PATH`.
+    /// `rustc --version` of the compiler that built this binary,
+    /// recorded by the crate's build script.
     pub rustc: String,
     /// Git commit of the enclosing checkout (short hash).
     pub commit: String,
 }
 
 impl RunMeta {
-    /// Starts collecting metadata from the environment: the
-    /// `rustc --version` probe runs as a child process alongside the
-    /// measured run, so its startup stays off the run's critical path;
-    /// [`MetaProbe::finish`] reads it.
-    pub fn probe() -> MetaProbe {
-        MetaProbe {
-            rustc: std::process::Command::new("rustc")
-                .arg("--version")
-                .stdout(std::process::Stdio::piped())
-                .stderr(std::process::Stdio::null())
-                // profess: allow(thread_spawn): `Command::spawn` starts the rustc probe process; no thread, no simulation result
-                .spawn()
-                .ok(),
+    /// Collects the metadata of the current process and checkout.
+    pub fn current() -> RunMeta {
+        RunMeta {
+            hostname: hostname(),
+            os: std::env::consts::OS.to_string(),
+            arch: std::env::consts::ARCH.to_string(),
+            rustc: env!("BUILD_RUSTC_VERSION").to_string(),
+            commit: git_commit(),
         }
     }
 
@@ -230,33 +226,6 @@ fn hostname() -> String {
         // profess: allow(determinism_taint): host metadata lands in BENCH meta for A/B honesty, never in report fingerprints
         .or_else(|| std::env::var("HOSTNAME").ok())
         .unwrap_or_else(|| "unknown".to_string())
-}
-
-/// A [`RunMeta`] whose `rustc --version` probe is still running.
-#[derive(Debug)]
-pub struct MetaProbe {
-    rustc: Option<std::process::Child>,
-}
-
-impl MetaProbe {
-    /// Waits for the probe and assembles the metadata.
-    pub fn finish(self) -> RunMeta {
-        let rustc = self
-            .rustc
-            .and_then(|c| c.wait_with_output().ok())
-            .filter(|o| o.status.success())
-            .and_then(|o| String::from_utf8(o.stdout).ok())
-            .map(|s| s.trim().to_string())
-            .filter(|s| !s.is_empty())
-            .unwrap_or_else(|| "unknown".to_string());
-        RunMeta {
-            hostname: hostname(),
-            os: std::env::consts::OS.to_string(),
-            arch: std::env::consts::ARCH.to_string(),
-            rustc,
-            commit: git_commit(),
-        }
-    }
 }
 
 /// Resolves the checkout's `HEAD` by reading `.git` directly (no `git`
@@ -331,7 +300,6 @@ pub struct BenchJson {
     threads: usize,
     sim_ops: u64,
     harness_samples: u64,
-    meta: MetaProbe,
     started: Instant,
     results: Vec<(String, BenchStats)>,
     cells: Option<Vec<Json>>,
@@ -356,7 +324,6 @@ impl BenchJson {
             threads: profess_par::default_threads(),
             sim_ops: 0,
             harness_samples: 0,
-            meta: RunMeta::probe(),
             // profess: allow(determinism_taint): wall time is the quantity a bench run exists to measure
             started: Instant::now(),
             results: Vec::new(),
@@ -451,7 +418,7 @@ impl BenchJson {
     pub fn finish_into(self, dir: &std::path::Path) {
         let wall = self.started.elapsed().as_secs_f64();
         let per_sec = |n: u64| if wall > 0.0 { n as f64 / wall } else { 0.0 };
-        let meta = self.meta.finish();
+        let meta = RunMeta::current();
         let mut pairs = vec![
             ("bench", Json::Str(self.name.clone())),
             ("threads", Json::UInt(self.threads as u64)),

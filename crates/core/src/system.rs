@@ -516,6 +516,8 @@ struct System {
     // is a shadow RSM run only when tracing under a policy without its
     // own RSM, so every traced run yields rsm_epoch events.
     tracing: bool,
+    // Iterations of the run loop, counted only while tracing.
+    loop_steps: u64,
     trace_cfg: TraceConfig,
     tracer: Tracer,
     trace_rsm: Option<crate::policies::rsm::Rsm>,
@@ -644,6 +646,7 @@ impl System {
             limits: b.limits,
             retired: 0,
             tracing,
+            loop_steps: 0,
             trace_cfg,
             tracer: Tracer::new(&trace_cfg),
             trace_rsm,
@@ -1070,6 +1073,9 @@ impl System {
         let mut served_buf: Vec<Served> = Vec::new();
         let mut out_reqs: Vec<CoreRequest> = Vec::new();
         loop {
+            if self.tracing {
+                self.loop_steps += 1;
+            }
             // 0. Supervision, observed at step granularity (the step
             // itself does orders of magnitude more work).
             if let Some(token) = &self.limits.cancel {
@@ -1279,10 +1285,14 @@ impl System {
             tracer.into_log().map(|mut log| {
                 let mut read_lat = Log2Histogram::new();
                 let mut queue_depth = Log2Histogram::new();
+                let (mut ch_advances, mut picks, mut planned) = (0, 0, 0);
                 for ch in &mut self.channels {
                     if let Some(obs) = ch.take_obs() {
                         read_lat.merge(&obs.read_latency);
                         queue_depth.merge(&obs.queue_depth);
+                        ch_advances += obs.advances;
+                        picks += obs.picks.get();
+                        planned += obs.entries_planned.get();
                     }
                 }
                 let mut rob = Log2Histogram::new();
@@ -1291,11 +1301,20 @@ impl System {
                         rob.merge(&obs.rob_occupancy);
                     }
                 }
+                // The ROB is sampled once per advance of a running core,
+                // and finished cores are restarted or end the run before
+                // the next step, so the sample count is the advance count.
+                let core_advances = rob.count();
                 log.hist("channel_read_latency", read_lat);
                 log.hist("channel_queue_depth", queue_depth);
                 log.hist("core_rob_occupancy", rob);
                 log.counter("total_served", total_served);
                 log.counter("swaps", swaps);
+                log.counter("loop_steps", self.loop_steps);
+                log.counter("core_advances", core_advances);
+                log.counter("channel_advances", ch_advances);
+                log.counter("channel_picks", picks);
+                log.counter("queue_entries_planned", planned);
                 Box::new(log)
             })
         } else {

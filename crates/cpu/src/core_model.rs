@@ -328,7 +328,12 @@ impl CoreSim {
             let gap_left = self.pending.as_ref().map_or(0, |p| p.gap_left);
             if gap_left > 0 {
                 if self.exec_slot >= now_slot {
-                    self.wait = WaitState::UntilSlot(self.exec_slot + 1);
+                    // Sleep until the pending memory op could issue. Until
+                    // then a call only retires gap instructions; a full
+                    // ROB is no earlier event: a completed head load
+                    // retires free (its slot is <= `now_slot`), and an
+                    // incomplete one wakes the core when it completes.
+                    self.wait = WaitState::UntilSlot(self.exec_slot + u64::from(gap_left) + 1);
                     return;
                 }
                 let rob_space = self.rob - (self.exec_seq - self.retired_seq());

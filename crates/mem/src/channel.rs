@@ -2,6 +2,8 @@
 //! a data bus) with FR-FCFS-Cap scheduling, write draining, M1 refresh and
 //! channel-blocking block swaps.
 
+use std::cell::Cell;
+
 use profess_obs::Log2Histogram;
 use profess_types::config::{EnergyConfig, MemTimingConfig, TechTiming};
 use profess_types::geometry::{MemLoc, Module};
@@ -12,15 +14,22 @@ use crate::energy::EnergyCounters;
 use crate::request::{AccessKind, PhysRequest, Served};
 use crate::stats::ChannelStats;
 
-/// Optional per-channel profiling histograms, allocated only when the
-/// system enables observability (`PROFESS_TRACE`); the hot path pays a
-/// single `Option` test per record site when off.
+/// Optional per-channel profiling histograms and work counters, allocated
+/// only when the system enables observability (`PROFESS_TRACE`); the hot
+/// path pays a single `Option` test per record site when off.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ChannelObs {
     /// Read latency (enqueue to data end) in memory cycles.
     pub read_latency: Log2Histogram,
     /// Queue depth (reads + writes) sampled after each enqueue.
     pub queue_depth: Log2Histogram,
+    /// [`ChannelSim::advance`] calls.
+    pub advances: u64,
+    /// FR-FCFS queue scans, from `advance` and `next_event` alike (a
+    /// `Cell` because `next_event` takes `&self`).
+    pub picks: Cell<u64>,
+    /// Queue entries those scans planned.
+    pub entries_planned: Cell<u64>,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -363,6 +372,7 @@ impl ChannelSim {
             }
             if p.row_hit {
                 if self.bank(q.req.loc).hit_streak < cap {
+                    self.note_pick(i + 1);
                     return Ok((i, p));
                 }
                 // FR-FCFS-Cap: after `cap` consecutive hits, further hits
@@ -382,7 +392,18 @@ impl ChannelSim {
                 best_any = Some((i, p));
             }
         }
+        self.note_pick(queue.len());
         best_any.ok_or(earliest)
+    }
+
+    /// Counts one [`ChannelSim::pick`] scan that planned `planned` entries.
+    #[inline]
+    fn note_pick(&self, planned: usize) {
+        if let Some(obs) = &self.obs {
+            obs.picks.set(obs.picks.get() + 1);
+            obs.entries_planned
+                .set(obs.entries_planned.get() + planned as u64);
+        }
     }
 
     /// Commits one queued request to the timing model. `p` is the
@@ -457,6 +478,9 @@ impl ChannelSim {
     /// Advances the channel to `now`, appending completions (data delivered
     /// at or before `now`) to `served`.
     pub fn advance(&mut self, now: Cycle, served: &mut Vec<Served>) {
+        if let Some(obs) = &mut self.obs {
+            obs.advances += 1;
+        }
         self.run_refresh(now);
         if self.blocked_until > now {
             self.sched_hint = None;
@@ -911,6 +935,10 @@ mod tests {
         // Depth samples: 1 after the first push, 2 after the second.
         assert_eq!(obs.queue_depth.count(), 2);
         assert_eq!(obs.queue_depth.max(), 2);
+        // Work counters: every queued entry was planned at least once.
+        assert!(obs.advances > 0);
+        assert!(obs.picks.get() > 0);
+        assert!(obs.entries_planned.get() >= 2);
         assert!(c.take_obs().is_none(), "take_obs disables observability");
     }
 

@@ -86,13 +86,6 @@ impl Json {
         }
     }
 
-    /// Serializes compactly (no whitespace).
-    pub fn to_string(&self) -> String {
-        let mut out = String::new();
-        self.write(&mut out);
-        out
-    }
-
     fn write(&self, out: &mut String) {
         match self {
             Json::Null => out.push_str("null"),
@@ -158,9 +151,12 @@ impl Json {
     }
 }
 
+/// Serializes compactly (no whitespace).
 impl std::fmt::Display for Json {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(&self.to_string())
+        let mut out = String::new();
+        self.write(&mut out);
+        f.write_str(&out)
     }
 }
 
@@ -435,16 +431,6 @@ impl Csv {
         self
     }
 
-    /// Serializes with `\n` line endings and a trailing newline.
-    pub fn to_string(&self) -> String {
-        let mut out = String::new();
-        write_csv_line(&self.header, &mut out);
-        for r in &self.rows {
-            write_csv_line(r, &mut out);
-        }
-        out
-    }
-
     /// Parses a CSV document (first line is the header).
     ///
     /// # Errors
@@ -473,9 +459,15 @@ impl Csv {
     }
 }
 
+/// Serializes with `\n` line endings and a trailing newline.
 impl std::fmt::Display for Csv {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(&self.to_string())
+        let mut out = String::new();
+        write_csv_line(&self.header, &mut out);
+        for r in &self.rows {
+            write_csv_line(r, &mut out);
+        }
+        f.write_str(&out)
     }
 }
 

@@ -13,6 +13,11 @@ cd "$(dirname "$0")/.."
 echo "==> cargo fmt --check"
 cargo fmt --check
 
+# Clippy: error-level lints fail the gate; warnings are printed as
+# advice and do not.
+echo "==> cargo clippy --workspace --all-targets --offline (errors only)"
+cargo clippy --workspace --all-targets --offline -q
+
 echo "==> cargo build --release --workspace --offline"
 cargo build --release --workspace --offline
 
